@@ -15,6 +15,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, esq, hrep, qstate, region, sim
 from .esq import EsqBudget, EsqError
 from .qstate import StateError
@@ -320,6 +322,10 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except np.linalg.LinAlgError as err:
+        # a ValueError subclass, but a numerical failure, not bad input
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     except (SpecError, StateError, RegionError, EsqError, SimError,
             ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

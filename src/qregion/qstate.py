@@ -313,7 +313,12 @@ _BUILDERS = {
 
 def reduced_state(state: MultipartyState,
                   keep: Iterable[str]) -> MultipartyState:
-    """Marginal of ``state`` on the labels in ``keep`` (original order)."""
+    """Marginal of ``state`` on the labels in ``keep`` (original order).
+
+    A mixture provenance carries over with each branch's kets restricted
+    to the kept labels: tracing out local pure factors leaves the same
+    separable decomposition of the marginal.
+    """
     keep = list(keep)
     if not keep:
         raise StateError("keep must be a nonempty set of labels")
@@ -321,7 +326,12 @@ def reduced_state(state: MultipartyState,
     op = partial_trace_op(state.op, state.dims, idx)
     labels = tuple(state.labels[i] for i in idx)
     dims = tuple(state.dims[i] for i in idx)
-    return MultipartyState(labels, dims, op)
+    provenance = None
+    if state.provenance is not None:
+        provenance = tuple(
+            MixtureBranch(br.weight, tuple(br.kets[i] for i in idx))
+            for br in state.provenance)
+    return MultipartyState(labels, dims, op, provenance)
 
 
 def entropy(state: MultipartyState, mask: Iterable[str]) -> float:

@@ -9,6 +9,7 @@ mappings, e.g.::
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -59,8 +60,9 @@ class StateSpec:
             raise SpecError("dims", f"{len(self.dims)} dims for "
                             f"{len(self.labels)} labels")
         for d in self.dims:
-            if not isinstance(d, int) or d < 1:
-                raise SpecError("dims", "dimension must be ≥ 1")
+            if not _is_int(d) or d < 1:
+                raise SpecError("dims", f"dimension must be an integer "
+                                f"≥ 1, got {d!r}")
         if self.reference not in self.labels:
             raise SpecError("reference", f"{self.reference!r} is not a label")
         getattr(self, f"_check_{self.family}")()
@@ -124,14 +126,45 @@ class StateSpec:
                                     f"not normalized (|ket|² = {norm:g})")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _as_amplitude(entry, field: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2 and \
-            all(isinstance(x, (int, float)) for x in entry):
-        return complex(entry[0], entry[1])
-    raise SpecError(field, f"amplitude must be a number or [re, im] pair, "
-                    f"got {entry!r}")
+    if _is_real(entry):
+        re, im = entry, 0
+    elif isinstance(entry, (list, tuple)) and len(entry) == 2 and \
+            all(_is_real(x) for x in entry):
+        re, im = entry
+    else:
+        raise SpecError(field, f"amplitude must be a number or [re, im] "
+                        f"pair, got {entry!r}")
+    try:
+        amp = complex(re, im)
+    except OverflowError:  # an integer beyond the float range
+        amp = complex(math.inf)
+    if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+        raise SpecError(field, f"amplitude must be finite, got {entry!r}")
+    return amp
+
+
+def _as_weight(entry, field: str) -> float:
+    if isinstance(entry, bool):
+        raise SpecError(field, f"weight must be a number, got {entry!r}")
+    try:
+        weight = float(entry)
+    except OverflowError:  # an integer beyond the float range
+        weight = math.inf
+    except (TypeError, ValueError):
+        raise SpecError(field, f"weight must be a number, got {entry!r}") \
+            from None
+    if not math.isfinite(weight):
+        raise SpecError(field, f"weight must be finite, got {entry!r}")
+    return weight
 
 
 def _as_ket(entry, field: str) -> tuple[complex, ...]:
@@ -175,6 +208,8 @@ def parse_state_spec(text: str) -> StateSpec:
 
     basis = raw.get("basis")
     if basis is not None:
+        if isinstance(basis, bool):
+            raise SpecError("basis", "must be a digit string or int list")
         if isinstance(basis, str):
             if not basis.isdigit():
                 raise SpecError("basis", "basis string must be digits")
@@ -182,7 +217,11 @@ def parse_state_spec(text: str) -> StateSpec:
         elif isinstance(basis, int):
             basis = tuple(int(ch) for ch in str(basis))
         elif isinstance(basis, list):
-            basis = tuple(int(b) for b in basis)
+            for b in basis:
+                if not _is_int(b):
+                    raise SpecError("basis", f"entries must be integers, "
+                                    f"got {b!r}")
+            basis = tuple(basis)
         else:
             raise SpecError("basis", "must be a digit string or int list")
 
@@ -193,7 +232,7 @@ def parse_state_spec(text: str) -> StateSpec:
         pair = (str(pair[0]), str(pair[1]))
 
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise SpecError("seed", "must be an integer")
 
     branches = raw.get("branches")
@@ -209,7 +248,7 @@ def parse_state_spec(text: str) -> StateSpec:
             if not isinstance(kets, list):
                 raise SpecError("branches", f"branch {i}: kets must be a list")
             parsed.append(BranchSpec(
-                weight=float(br["weight"]),
+                weight=_as_weight(br["weight"], f"branches[{i}].weight"),
                 kets=tuple(_as_ket(k, f"branches[{i}].kets") for k in kets),
             ))
         branches = tuple(parsed)
@@ -217,7 +256,7 @@ def parse_state_spec(text: str) -> StateSpec:
     return StateSpec(
         family=str(need("family")),
         labels=labels,
-        dims=tuple(int(d) if isinstance(d, int) else d for d in dims),
+        dims=tuple(dims),
         reference=str(need("reference")),
         basis=basis,
         pair=pair,

@@ -9,7 +9,7 @@ from qregion.cli import run_command
 from qregion.hrep import export_h_representation, parse_h_representation
 from qregion.region import RegionConstants, nonempty_subsets
 
-from helpers import ghz_state
+from helpers import ghz_state, random_mixture_spec
 
 GHZ_TEXT = "{family: ghz, labels: [A1, A2, R], dims: [2, 2, 2], reference: R}\n"
 BELL_SENDERS_TEXT = ("{family: bell, labels: [A1, A2, R], dims: [2, 2, 1], "
@@ -176,3 +176,39 @@ def test_report_vertices_pass_membership(tmp_path, ghz_spec_file):
         rates = tuple(v["rates"][lab] for lab in rc.senders)
         verdict = qr.membership(rc, qr.RatePoint(rc.senders, rates)).verdict
         assert verdict in ("boundary", "inside")
+
+
+def _mixture_text(spec) -> str:
+    branches = [{"weight": br.weight,
+                 "kets": [[[float(a.real), float(a.imag)] for a in ket]
+                          for ket in br.kets]}
+                for br in spec.branches]
+    return json.dumps({"family": "mixture", "labels": list(spec.labels),
+                       "dims": list(spec.dims),
+                       "reference": spec.reference,
+                       "branches": branches}) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:input state is not pure")
+def test_esq_command_uses_mixture_provenance(tmp_path):
+    spec = random_mixture_spec(np.random.default_rng(5), ("A1", "A2", "R"),
+                               (2, 2, 2), branches=3)
+    path = tmp_path / "mix.spec"
+    path.write_text(_mixture_text(spec))
+    out = tmp_path / "mix.json"
+    assert run_command(["esq", "--state", str(path), "--out", str(out),
+                        "--seed", "4"]) == 0
+    est = json.loads(out.read_text())["esq_estimates"]["A1+A2"]
+    assert est["best_kind"] == "classical_flag"
+    assert est["value"] == 0
+
+
+def test_linalg_failure_is_internal_error(tmp_path, ghz_spec_file,
+                                          monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert run_command(["region", "--state", str(ghz_spec_file),
+                        "--out", str(tmp_path / "r.json")]) == 3
+    assert "internal error" in capsys.readouterr().err

@@ -266,3 +266,130 @@ def test_perturbation_report_structure():
                         "difference", "continuity_bound", "within_bound"}
     assert rep["epsilon"] <= eps + 1e-9
     assert rep["continuity_bound"] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# batched search
+
+def _panel_marginal(seed):
+    st = qr.random_pure_state(["A1", "A2", "R"], [2, 2, 2], seed)
+    return qr.reduced_state(st, {"A1", "A2"})
+
+
+def test_cond_info_batch_matches_reference_rows():
+    rng = np.random.default_rng(40)
+    three = qr.reduced_state(
+        qr.random_pure_state(["A1", "A2", "A3", "R"], [2, 2, 2, 2], 4),
+        {"A1", "A2", "A3"})
+    cases = [(_panel_marginal(5), [{"A1"}, {"A2"}]),
+             (three, [{"A1"}, {"A2"}, {"A3"}])]
+    for st, parts in cases:
+        groups = E._part_groups(st, parts)
+        psi, r = Q.purification_vector(st)
+        for d_e in (1, 2, 3, 4):
+            d_g = max(d_e, r)
+            g = rng.standard_normal((6, d_e * d_g, r)) \
+                + 1j * rng.standard_normal((6, d_e * d_g, r))
+            isos = E._polar_batch(g)
+            batch = E._cond_info_batch(psi, st.dims, groups, isos, d_e, d_g)
+            for iso, val in zip(isos, batch):
+                ref = E._cond_info_extended(psi, st.dims, groups, iso,
+                                            d_e, d_g)
+                assert abs(val - ref) <= 1e-12
+
+
+def test_entropy_batch_rejects_non_psd_member():
+    good = np.eye(2, dtype=complex) / 2
+    bad = np.diag([1.5, -0.5]).astype(complex)
+    with pytest.raises(Q.StateError, match="positive semidefinite"):
+        E._entropy_batch(np.stack([good, bad]))
+    assert E._entropy_batch(np.stack([good, good])).tolist() == [1.0, 1.0]
+
+
+def _serial_descent(fn, v0, max_passes, step0=0.3):
+    """Reference: one restart at a time, one probe at a time."""
+    v, best, step = v0, fn(v0), step0
+    for _ in range(max(0, max_passes)):
+        improved = False
+        for idx in np.ndindex(*v.shape):
+            for delta in (step, -step, 1j * step, -1j * step):
+                trial = v.copy()
+                trial[idx] += delta
+                trial = E._polar_isometry(trial)
+                val = fn(trial)
+                if val < best - 1e-12:
+                    v, best, improved = trial, val, True
+                    break
+        if not improved:
+            step *= 0.5
+            if step < 1e-3:
+                break
+    return v, best
+
+
+def test_lockstep_descent_matches_serial_descent():
+    st = _panel_marginal(6)
+    groups = E._part_groups(st, [{"A1"}, {"A2"}])
+    psi, r = Q.purification_vector(st)
+    rng = np.random.default_rng(3)
+    d_e = 2
+    starts = np.stack([E._polar_isometry(
+        rng.standard_normal((d_e * d_e, r))
+        + 1j * rng.standard_normal((d_e * d_e, r))) for _ in range(3)])
+    vs, vals = E._lockstep_descent(
+        lambda isos: E._cond_info_batch(psi, st.dims, groups, isos,
+                                        d_e, d_e), starts, 3)
+    for v0, v, val in zip(starts, vs, vals):
+        ref_v, ref_val = _serial_descent(
+            lambda iso: E._cond_info_extended(psi, st.dims, groups, iso,
+                                              d_e, d_e), v0, 3)
+        assert val == ref_val
+        assert np.array_equal(v, ref_v)
+
+
+@pytest.mark.parametrize("seed, value", [(101, 0.41382912908524194),
+                                         (102, 0.3149789113537507),
+                                         (103, 0.4116205256156588)])
+def test_panel_values_pinned(seed, value):
+    est = qr.esq_upper_bound(_panel_marginal(seed), [{"A1"}, {"A2"}],
+                             EsqBudget(seed=7))
+    assert est.value == value
+    assert est.best_channel.kind == "parameterized"
+
+
+def test_edge_budgets():
+    marg = _panel_marginal(5)
+    parts = [{"A1"}, {"A2"}]
+    none = qr.esq_upper_bound(marg, parts, EsqBudget(restarts=0))
+    assert none.best_channel.kind == "trivial"
+    assert none.value == none.baseline
+    mix = random_mixture_state(np.random.default_rng(8))
+    flag = qr.esq_upper_bound(mix, [{"X1"}, {"X2"}], EsqBudget(restarts=0))
+    assert flag.best_channel.kind == "classical_flag"
+
+    # iterations=0 scores only the starting points
+    budget = EsqBudget(d_e_values=(2, 3), restarts=3, iterations=0, seed=4)
+    est = qr.esq_upper_bound(marg, parts, budget)
+    groups = E._part_groups(marg, parts)
+    psi, r = Q.purification_vector(marg)
+    raws = [E._cond_info_extended(psi, marg.dims, groups,
+                                  E.trivial_channel("R0", r).isometry, 1, r)]
+    for d_e in budget.d_e_values:
+        starts = [E._embedding_isometry(r, d_e, d_e)]
+        for restart in range(1, budget.restarts):
+            g = np.random.default_rng([budget.seed, restart])
+            starts.append(E._polar_isometry(
+                g.standard_normal((d_e * d_e, r))
+                + 1j * g.standard_normal((d_e * d_e, r))))
+        raws += [E._cond_info_extended(psi, marg.dims, groups, v, d_e, d_e)
+                 for v in starts]
+    assert est.value == min(est.baseline, max(0.0, 0.5 * min(raws)))
+
+    # d_E * d_G below the purifier rank: no isometry exists, entry skipped
+    rank4 = qr.reduced_state(
+        qr.random_pure_state(("A", "B", "C"), (2, 2, 4), 2), {"A", "B"})
+    assert Q.purification_vector(rank4)[1] == 4
+    est = qr.esq_upper_bound(rank4, [{"A"}, {"B"}],
+                             EsqBudget(d_e_values=(1,), restarts=2))
+    assert est.best_channel.kind == "trivial"
+    assert est.value == est.baseline

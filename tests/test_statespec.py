@@ -1,6 +1,7 @@
 import pytest
 
 import qregion as qr
+from qregion.cli import run_command
 from qregion.statespec import SpecError, parse_state_spec
 
 
@@ -110,3 +111,32 @@ def test_parse_rejects_unnormalized_ket():
             "kets: [[1, 1], [1, 0]]}]}")
     with pytest.raises(SpecError, match="not normalized"):
         parse_state_spec(text)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("dims", "{family: ghz, labels: [A1, A2, R], dims: [true, 2, 2], "
+             "reference: R}"),
+    ("seed", "{family: random_pure, labels: [A, R], dims: [2, 2], "
+             "reference: R, seed: true}"),
+    ("basis", "{family: product, labels: [A, R], dims: [2, 2], "
+              "basis: [true, 0], reference: R}"),
+    ("branches[0].weight", "{family: mixture, labels: [X1, X2], "
+                           "dims: [2, 2], reference: X2, branches: "
+                           "[{weight: NaN, kets: [[1, 0], [1, 0]]}]}"),
+    ("branches[0].kets", "{family: mixture, labels: [X1, X2], "
+                         "dims: [2, 2], reference: X2, branches: "
+                         "[{weight: 1.0, kets: [[.inf, 0], [1, 0]]}]}"),
+    ("branches[0].kets", "{family: mixture, labels: [X1, X2], "
+                         "dims: [2, 2], reference: X2, branches: "
+                         "[{weight: 1.0, kets: [[1" + "0" * 400
+                         + ", 0], [1, 0]]}]}"),
+])
+def test_spec_rejects_bool_and_non_finite(tmp_path, capsys, field, text):
+    with pytest.raises(SpecError) as err:
+        parse_state_spec(text)
+    assert err.value.field == field
+    path = tmp_path / "bad.spec"
+    path.write_text(text + "\n")
+    assert run_command(["region", "--state", str(path),
+                        "--out", str(tmp_path / "r.json")]) == 2
+    assert f"error: {field}" in capsys.readouterr().err
