@@ -102,9 +102,9 @@ def _vertices_field(vr) -> list:
     return out
 
 
-def _constants_field(rc) -> dict:
-    return {subset_name(s): rc.value(s)
-            for s in region.nonempty_subsets(rc.senders)}
+def _constants_field(constants) -> dict:
+    """Subset-keyed constants (canonical row order) keyed by name."""
+    return {subset_name(s): v for s, v in constants.items()}
 
 
 def _write(path: str, text: str):
@@ -119,7 +119,7 @@ def _cmd_region(args) -> int:
     report.update({
         "senders": list(rc.senders),
         "reference": rc.reference,
-        "constants": _constants_field(rc),
+        "constants": _constants_field(rc.c),
         "vertices": _vertices_field(vr),
         "supermodular": "pass" if not violations else [
             {"K": subset_name(k), "L": subset_name(l), "deficit": d}
@@ -168,10 +168,10 @@ def _esq_sweep(dim: int, d_e_max: int) -> tuple[int, ...]:
     return values
 
 
-def _esq_estimates(state, rc, args) -> tuple[dict, dict]:
-    estimates = {}
-    raw = {}
-    for subset in region.nonempty_subsets(rc.senders):
+def _esq_fields(state, rc, args) -> tuple[dict, dict]:
+    """Report fields shared by esq and classify, and the outer bound."""
+    estimates, raw = {}, {}
+    for subset in rc.subsets:
         if len(subset) < 2:
             continue
         marginal = qstate.reduced_state(state, subset)
@@ -191,22 +191,18 @@ def _esq_estimates(state, rc, args) -> tuple[dict, dict]:
             "restarts": budget.restarts,
             "iterations": budget.iterations,
         }
-    return estimates, raw
+    outer = esq.outer_bound_constants(rc, raw)
+    return {"inner_constants": _constants_field(rc.c),
+            "esq_estimates": estimates,
+            "outer_constants": _constants_field(outer)}, outer
 
 
 def _cmd_esq(args) -> int:
     spec, state, digest = _load_state(args.state)
     rc = region.region_constants(state, spec.reference)
-    estimates, raw = _esq_estimates(state, rc, args)
-    outer = esq.outer_bound_constants(rc, raw)
+    fields, _ = _esq_fields(state, rc, args)
     report = _report_header("esq", spec, digest, args.seed)
-    report.update({
-        "senders": list(rc.senders),
-        "inner_constants": _constants_field(rc),
-        "esq_estimates": estimates,
-        "outer_constants": {subset_name(s): outer[s]
-                            for s in region.nonempty_subsets(rc.senders)},
-    })
+    report.update({"senders": list(rc.senders), **fields})
     _write(args.out, _emit(report) + "\n")
     return 0
 
@@ -218,8 +214,7 @@ def _cmd_classify(args) -> int:
     if len(rates) != rc.m:
         raise RegionError(f"--point needs {rc.m} comma-separated rates")
     point = region.RatePoint(rc.senders, rates)
-    estimates, raw = _esq_estimates(state, rc, args)
-    outer = esq.outer_bound_constants(rc, raw)
+    fields, outer = _esq_fields(state, rc, args)
     verdict = esq.classify_rate_point(point, rc, outer)
     inner_check = region.membership(rc, point)
     report = _report_header("classify", spec, digest, args.seed)
@@ -229,10 +224,7 @@ def _cmd_classify(args) -> int:
         "verdict": verdict,
         "inner_membership": inner_check.verdict,
         "violated_inner": [subset_name(s) for s in inner_check.violated],
-        "inner_constants": _constants_field(rc),
-        "esq_estimates": estimates,
-        "outer_constants": {subset_name(s): outer[s]
-                            for s in region.nonempty_subsets(rc.senders)},
+        **fields,
     })
     _write(args.out, _emit(report) + "\n")
     print(verdict)

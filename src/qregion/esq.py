@@ -20,7 +20,7 @@ import numpy as np
 
 from . import qstate
 from .qstate import MultipartyState, StateError
-from .region import RatePoint, RegionConstants, nonempty_subsets
+from .region import RatePoint, RegionConstants
 
 #: (state dim) * d_E * d_G must not exceed this for extension searches
 ESQ_DIM_CAP = 1024
@@ -398,16 +398,12 @@ def outer_bound_constants(inner: RegionConstants,
     constraints are valid but possibly weaker than the exact ones.
     """
     esq = {frozenset(k): v for k, v in esq.items()}
-    out = {}
-    for subset in nonempty_subsets(inner.senders):
-        if len(subset) == 1:
-            out[subset] = inner.value(subset)
-            continue
-        if subset not in esq:
-            raise EsqError(f"missing squashed-entanglement estimate for "
-                           f"{sorted(subset)}")
-        out[subset] = inner.value(subset) - esq[subset].value
-    return out
+    missing = [sorted(s) for s in inner.subsets if len(s) > 1 and s not in esq]
+    if missing:
+        raise EsqError(f"missing squashed-entanglement estimate for "
+                       f"{missing[0]}")
+    squashed = [esq[s].value if len(s) > 1 else 0.0 for s in inner.subsets]
+    return dict(zip(inner.subsets, (inner.bounds - squashed).tolist()))
 
 
 def classify_rate_point(q: RatePoint, inner: RegionConstants,
@@ -419,17 +415,11 @@ def classify_rate_point(q: RatePoint, inner: RegionConstants,
     while "gap" may contain points ruled out by the exact outer bound.
     """
     outer = {frozenset(k): float(v) for k, v in outer.items()}
-    inner_ok = True
-    outer_violated = False
-    for subset in nonempty_subsets(inner.senders):
-        total = q.subset_sum(subset)
-        if total < inner.value(subset) - tol:
-            inner_ok = False
-        if subset in outer and total < outer[subset] - tol:
-            outer_violated = True
-    if inner_ok:
+    totals = inner.subset_sums(q)
+    if np.all(totals >= inner.bounds - tol):
         return "achievable"
-    if outer_violated:
+    outer_bounds = np.array([outer.get(s, -np.inf) for s in inner.subsets])
+    if np.any(totals < outer_bounds - tol):
         return "not_achievable"
     return "gap"
 

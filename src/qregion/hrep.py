@@ -8,26 +8,19 @@ in a leading comment so the file round-trips losslessly.
 """
 from __future__ import annotations
 
-from .region import RegionConstants, RegionError, nonempty_subsets
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+from .region import RegionConstants, RegionError
 
 
 def export_h_representation(rc: RegionConstants) -> str:
-    subsets = nonempty_subsets(rc.senders)
     lines = [
         f"* senders: {' '.join(rc.senders)}",
         f"* reference: {rc.reference}",
         "H-representation",
         "begin",
-        f" {len(subsets)} {rc.m + 1} real",
+        f" {len(rc.subsets)} {rc.m + 1} real",
     ]
-    for subset in subsets:
-        row = [_fmt(-rc.value(subset))]
-        row += ["1" if lab in subset else "0" for lab in rc.senders]
-        lines.append(" " + " ".join(row))
+    for b, row in zip(-rc.bounds, rc.incidence.astype(int).tolist()):
+        lines.append(" " + " ".join([format(b, ".17g"), *map(str, row)]))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -14,8 +14,9 @@ saturated constraint systems, and optimizes linear costs greedily.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -29,59 +30,85 @@ DEDUP_TOL = 1e-6
 PIVOT_TOL = 1e-9
 
 MAX_ENUM_SENDERS = 5
+MAX_CORNER_SENDERS = 7
 
 
 class RegionError(ValueError):
     """Invalid region arguments (bad permutation, costs, subsets, ...)."""
 
 
-def subset_key(subset: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(subset))
-
-
 def nonempty_subsets(senders: Sequence[str]) -> list[frozenset[str]]:
     """All nonempty sender subsets, ordered by (size, lexicographic)."""
-    out = []
-    for r in range(1, len(senders) + 1):
-        for combo in itertools.combinations(sorted(senders), r):
-            out.append(frozenset(combo))
-    return out
+    return [frozenset(combo) for r in range(1, len(senders) + 1)
+            for combo in itertools.combinations(sorted(senders), r)]
+
+
+def _incidence(senders: Sequence[str], sets) -> np.ndarray:
+    """0/1 rows: entry (r, i) is 1 when ``senders[i]`` is in ``sets[r]``."""
+    return np.array([[lab in s for lab in senders] for s in sets],
+                    dtype=float).reshape(len(sets), len(senders))
 
 
 @dataclass(frozen=True, eq=False)
 class RegionConstants:
-    """Map from every nonempty sender subset K to the bound C_K (bits)."""
+    """The bound C_K (bits) for every nonempty sender subset K.
+
+    A subset is a bitmask whose bit i stands for ``senders[i]``, and
+    ``table[mask]`` is its C_K (entry 0, the empty set, is 0.0).  The
+    canonical rows are the nonempty subsets in (size, lexicographic by
+    label) order: ``subsets`` and ``masks`` list them, ``incidence``
+    holds their 0/1 rows over ``senders`` and ``bounds`` their C_K.
+    ``c`` and ``value`` are frozenset-keyed views of the same numbers.
+    """
 
     senders: tuple[str, ...]
     reference: str
     c: Mapping[frozenset[str], float]
+    subsets: tuple[frozenset[str], ...] = field(init=False, repr=False)
+    masks: np.ndarray = field(init=False, repr=False)
+    incidence: np.ndarray = field(init=False, repr=False)
+    bounds: np.ndarray = field(init=False, repr=False)
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         senders = tuple(self.senders)
-        object.__setattr__(self, "senders", senders)
         if len(senders) < 1:
             raise RegionError("at least one sender required")
         if len(set(senders)) != len(senders):
             raise RegionError("sender labels must be distinct")
-        expected = set(nonempty_subsets(senders))
+        subsets = tuple(nonempty_subsets(senders))
         c = {frozenset(k): float(v) for k, v in dict(self.c).items()}
-        if set(c) != expected:
+        if set(c) != set(subsets):
             raise RegionError("constants must cover every nonempty subset")
-        object.__setattr__(self, "c", MappingProxyType(c))
+        bounds = np.array([c[s] for s in subsets])
+        if not np.isfinite(bounds).all():
+            raise RegionError("constants must be finite")
+        incidence = _incidence(senders, subsets)
+        masks = incidence.astype(np.int64) @ (1 << np.arange(len(senders)))
+        table = np.zeros(2 ** len(senders))
+        table[masks] = bounds
+        c = MappingProxyType(dict(zip(subsets, bounds.tolist())))
+        for name, value in (("senders", senders), ("subsets", subsets),
+                            ("masks", masks), ("incidence", incidence),
+                            ("bounds", bounds), ("table", table), ("c", c)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def value(self, subset: Iterable[str]) -> float:
         """C_K, with the empty set mapped to 0 by convention."""
         key = frozenset(subset)
-        if not key:
-            return 0.0
-        try:
-            return self.c[key]
-        except KeyError:
-            raise RegionError(f"unknown subset {sorted(key)}") from None
+        if key and key not in self.c:
+            raise RegionError(f"unknown subset {sorted(key)}")
+        return self.c.get(key, 0.0)
 
     @property
     def m(self) -> int:
         return len(self.senders)
+
+    def subset_sums(self, q: "RatePoint") -> np.ndarray:
+        """sum_{k in K} Q_k per canonical row."""
+        return self.incidence @ np.array([q.rate(lab) for lab in self.senders])
 
 
 @dataclass(frozen=True)
@@ -128,11 +155,7 @@ class SaturatedSystem:
     sets: tuple[frozenset[str], ...]
 
     def indicator_matrix(self) -> np.ndarray:
-        rows = np.zeros((len(self.sets), len(self.senders)))
-        for i, subset in enumerate(self.sets):
-            for lab in subset:
-                rows[i, self.senders.index(lab)] = 1.0
-        return rows
+        return _incidence(self.senders, self.sets)
 
 
 @dataclass(frozen=True)
@@ -171,18 +194,24 @@ def region_constants(state: MultipartyState,
                       "pure global state", stacklevel=2)
     h_single = {lab: qstate.entropy(state, {lab}) for lab in senders}
     h_ref = qstate.entropy(state, {reference})
-    c = {}
-    for subset in nonempty_subsets(senders):
-        h_joint = qstate.entropy(state, set(subset) | {reference})
-        c[subset] = 0.5 * (sum(h_single[lab] for lab in subset)
-                           + h_ref - h_joint)
-    return RegionConstants(senders, reference, c)
+    return RegionConstants(senders, reference, {
+        s: 0.5 * (sum(h_single[lab] for lab in s) + h_ref
+                  - qstate.entropy(state, set(s) | {reference}))
+        for s in nonempty_subsets(senders)})
 
 
-def _check_permutation(rc: RegionConstants, perm: Sequence[str]):
-    if sorted(perm) != sorted(rc.senders):
-        raise RegionError(f"{tuple(perm)} is not a permutation of "
-                          f"{rc.senders}")
+def _corner_rates(rc: RegionConstants, perms: np.ndarray) -> np.ndarray:
+    """Corner points for rows of sender indices, in ``rc.senders`` order:
+    the suffix mask at position i is the cumulative OR of the bits of
+    perm[i:], and the sender there receives C[suffix_i] - C[suffix_(i+1)]
+    (the last one its singleton constant)."""
+    suffix = np.bitwise_or.accumulate((1 << perms)[:, ::-1], axis=1)[:, ::-1]
+    after = np.zeros_like(suffix)  # mask 0 past the end
+    after[:, :-1] = suffix[:, 1:]
+    rates = np.empty(perms.shape)
+    rates[np.arange(len(perms))[:, None], perms] = (rc.table[suffix]
+                                                     - rc.table[after])
+    return rates
 
 
 def corner_point(rc: RegionConstants, perm: Sequence[str]) -> RatePoint:
@@ -191,35 +220,39 @@ def corner_point(rc: RegionConstants, perm: Sequence[str]) -> RatePoint:
     The sender in the last position receives its singleton constant;
     earlier positions receive successive suffix differences.
     """
-    _check_permutation(rc, perm)
-    perm = tuple(perm)
-    m = len(perm)
-    rates = {}
-    for i in range(m):
-        suffix = rc.value(perm[i:])
-        after = rc.value(perm[i + 1:]) if i + 1 < m else 0.0
-        rates[perm[i]] = suffix - after
-    return RatePoint(rc.senders,
-                     tuple(rates[lab] for lab in rc.senders),
-                     witness=perm)
+    if sorted(perm) != sorted(rc.senders):
+        raise RegionError(f"{tuple(perm)} is not a permutation of "
+                          f"{rc.senders}")
+    idx = [rc.senders.index(lab) for lab in perm]
+    rates = _corner_rates(rc, np.array([idx]))[0].tolist()
+    return RatePoint(rc.senders, tuple(rates), witness=tuple(perm))
 
 
 def corner_set(rc: RegionConstants, tol: float = DEDUP_TOL) -> VRegion:
     """All corner points over the m! permutations, deduplicated.
 
-    Permutations are visited in lexicographic label order, so each
-    retained point carries the lexicographically smallest witness.
+    Permutations are visited in lexicographic label order, and a point
+    within Chebyshev distance ``tol`` of an earlier kept one is dropped,
+    so each retained point carries the lexicographically smallest
+    witness.
     """
     if tol <= 0:
         raise RegionError("dedup tolerance must be positive")
-    kept: list[RatePoint] = []
-    for perm in itertools.permutations(sorted(rc.senders)):
-        pt = corner_point(rc, perm)
-        arr = pt.as_array()
-        if any(np.max(np.abs(arr - k.as_array())) <= tol for k in kept):
-            continue
-        kept.append(pt)
-    return VRegion(rc.senders, tuple(kept))
+    if rc.m > MAX_CORNER_SENDERS:
+        raise RegionError(f"corner enumeration limited to m ≤ "
+                          f"{MAX_CORNER_SENDERS} senders; this region has "
+                          f"{rc.m} ({rc.m}! permutations)")
+    perms = np.array(list(itertools.permutations(
+        sorted(range(rc.m), key=rc.senders.__getitem__))))
+    rates = _corner_rates(rc, perms)
+    kept = []
+    for k, row in enumerate(rates):
+        if not kept or np.abs(rates[kept] - row).max(axis=1).min() > tol:
+            kept.append(k)
+    return VRegion(rc.senders, tuple(
+        RatePoint(rc.senders, tuple(rates[k].tolist()),
+                  witness=tuple(rc.senders[i] for i in perms[k]))
+        for k in kept))
 
 
 def membership(rc: RegionConstants, q: RatePoint,
@@ -227,21 +260,13 @@ def membership(rc: RegionConstants, q: RatePoint,
     """Classify a rate point against every subset-sum constraint."""
     if sorted(q.senders) != sorted(rc.senders):
         raise RegionError("rate point senders do not match the region")
-    violated, tight = [], []
-    for subset in nonempty_subsets(rc.senders):
-        total = q.subset_sum(subset)
-        bound = rc.value(subset)
-        if total < bound - tol:
-            violated.append(subset)
-        elif abs(total - bound) <= tol:
-            tight.append(subset)
-    if violated:
-        verdict = "outside"
-    elif tight:
-        verdict = "boundary"
-    else:
-        verdict = "inside"
-    return Membership(verdict, tuple(violated), tuple(tight))
+    totals, bounds, rows = rc.subset_sums(q), rc.bounds, rc.subsets
+    below = totals < bounds - tol
+    on = ~below & (np.abs(totals - bounds) <= tol)
+    violated = tuple(rows[r] for r in np.flatnonzero(below))
+    tight = tuple(rows[r] for r in np.flatnonzero(on))
+    verdict = "outside" if violated else "boundary" if tight else "inside"
+    return Membership(verdict, violated, tight)
 
 
 def greedy_minimize(rc: RegionConstants,
@@ -256,8 +281,9 @@ def greedy_minimize(rc: RegionConstants,
     costs = [float(c) for c in costs]
     if len(costs) != rc.m:
         raise RegionError("one cost per sender required")
-    if any(c <= 0 for c in costs):
-        raise RegionError("costs must be positive for a bounded minimum")
+    if not all(0 < c < math.inf for c in costs):
+        raise RegionError("costs must be positive and finite for a bounded "
+                          "minimum")
     cost_of = dict(zip(rc.senders, costs))
     perm = tuple(sorted(rc.senders, key=lambda lab: (cost_of[lab], lab)))
     pt = corner_point(rc, perm)
@@ -299,24 +325,19 @@ def enumerate_vertices(rc: RegionConstants,
     if m > MAX_ENUM_SENDERS:
         raise RegionError(f"vertex enumeration limited to m ≤ "
                           f"{MAX_ENUM_SENDERS} senders")
-    subsets = nonempty_subsets(rc.senders)
+    rows, incidence, bounds = rc.subsets, rc.incidence, rc.bounds
     kept: list[RatePoint] = []
-    for combo in itertools.combinations(subsets, m):
-        sys = SaturatedSystem(rc.senders, combo)
-        a = sys.indicator_matrix()
+    for combo in map(list, itertools.combinations(range(len(rows)), m)):
+        a = incidence[combo]
         if _row_rank(a) < m:
             continue
-        b = np.array([rc.value(s) for s in combo])
-        x = np.linalg.solve(a, b)
-        feasible = all(
-            sum(x[rc.senders.index(lab)] for lab in subset)
-            >= rc.value(subset) - feas_tol
-            for subset in subsets)
-        if not feasible:
+        x = np.linalg.solve(a, bounds[combo])
+        if not np.all(incidence @ x >= bounds - feas_tol):
             continue
         if any(np.max(np.abs(x - k.as_array())) <= dedup_tol for k in kept):
             continue
-        chain = reconstruct_chain(sys)
+        chain = reconstruct_chain(
+            SaturatedSystem(rc.senders, tuple(rows[r] for r in combo)))
         kept.append(RatePoint(rc.senders, tuple(float(v) for v in x),
                               witness=chain.permutation))
     return VRegion(rc.senders, tuple(kept))
@@ -394,11 +415,9 @@ def check_supermodular(rc: RegionConstants, tol: float = FEAS_TOL) \
     quantum state always pass (the inequality is strong subadditivity
     in disguise).
     """
-    subsets = nonempty_subsets(rc.senders)
-    violations = []
-    for k_set, l_set in itertools.combinations_with_replacement(subsets, 2):
-        lhs = rc.value(k_set | l_set) + rc.value(k_set & l_set)
-        rhs = rc.value(k_set) + rc.value(l_set)
-        if lhs < rhs - tol:
-            violations.append((k_set, l_set, rhs - lhs))
-    return violations
+    i, j = np.triu_indices(len(rc.masks))  # combinations_with_replacement
+    k, l = rc.masks[i], rc.masks[j]
+    lhs = rc.table[k | l] + rc.table[k & l]
+    rhs = rc.table[k] + rc.table[l]
+    return [(rc.subsets[i[p]], rc.subsets[j[p]], float(rhs[p] - lhs[p]))
+            for p in np.flatnonzero(lhs < rhs - tol)]

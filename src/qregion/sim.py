@@ -249,7 +249,7 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     notes: list[str] = []
     splits: list[tuple[float, int]] = []
     for q in grid:
-        if q < -1e-12 or q > q_max + 1e-12:
+        if not -1e-12 <= q <= q_max + 1e-12:  # also rejects NaN
             raise SimError(f"grid value {q} outside [0, {q_max:g}]")
         exact = n * q
         nq = int(math.floor(exact + 1e-9))

@@ -215,6 +215,10 @@ def parse_state_spec(text: str) -> StateSpec:
                 raise SpecError("basis", "basis string must be digits")
             basis = tuple(int(ch) for ch in basis)
         elif isinstance(basis, int):
+            # YAML reads unquoted digits as a number (010 is octal 8)
+            if basis < 0 or len(str(basis)) != len(labels):
+                raise SpecError("basis", f"read as the integer {basis}; "
+                                "quote the digits, e.g. basis: '010'")
             basis = tuple(int(ch) for ch in str(basis))
         elif isinstance(basis, list):
             for b in basis:

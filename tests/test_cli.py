@@ -59,6 +59,15 @@ def test_hrep_zero_constants():
                 assert float(fields[0]) == 0.0
 
 
+def test_hrep_parse_rejects_non_finite_constant():
+    text = export_h_representation(qr.region_constants(ghz_state(), "R"))
+    lines = text.splitlines()
+    row = lines.index("begin") + 2
+    lines[row] = " nan" + lines[row][len(lines[row].split()[0]) + 1:]
+    with pytest.raises(qr.RegionError, match="finite"):
+        parse_h_representation("\n".join(lines))
+
+
 def test_region_command_report(tmp_path, ghz_spec_file):
     out = tmp_path / "report.json"
     code = run_command(["region", "--state", str(ghz_spec_file),
@@ -212,3 +221,32 @@ def test_linalg_failure_is_internal_error(tmp_path, ghz_spec_file,
     assert run_command(["region", "--state", str(ghz_spec_file),
                         "--out", str(tmp_path / "r.json")]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["region", "corners"])
+def test_corner_commands_refuse_eight_senders(tmp_path, capsys, command):
+    labels = [f"A{i + 1}" for i in range(8)] + ["R"]
+    path = tmp_path / "eight.spec"
+    path.write_text(json.dumps({"family": "bell", "labels": labels,
+                                "dims": [2, 2] + [1] * 7,
+                                "pair": ["A1", "A2"], "reference": "R"}))
+    assert run_command([command, "--state", str(path),
+                        "--out", str(tmp_path / "r.json")]) == 2
+    assert "this region has 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("costs", ["nan,1", "inf,1"])
+def test_greedy_rejects_non_finite_costs(tmp_path, capsys, ghz_spec_file,
+                                         costs):
+    out = tmp_path / "g.json"
+    assert run_command(["greedy", "--state", str(ghz_spec_file),
+                        "--out", str(out), "--costs", costs]) == 2
+    assert "costs must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_nan_grid(tmp_path, capsys, ghz_spec_file):
+    assert run_command(["simulate", "--state", str(ghz_spec_file),
+                        "--out", str(tmp_path / "c.csv"), "--copies", "2",
+                        "--grid", "0,nan", "--trials", "2"]) == 2
+    assert "grid value nan outside" in capsys.readouterr().err

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import qregion as qr
-from qregion.region import (RatePoint, RegionConstants, RegionError,
-                            SaturatedSystem, nonempty_subsets)
+from qregion.region import (DEDUP_TOL, FEAS_TOL, RatePoint,
+                            RegionConstants, RegionError, SaturatedSystem,
+                            nonempty_subsets)
+from qregion.statespec import StateSpec
 
 from helpers import (bell_between_senders, bell_with_spectator, ghz_state,
                      product_state, random_sender_state)
@@ -250,3 +252,103 @@ def test_greedy_equals_lp_oracle_sample():
         best = min(float(v.as_array() @ costs)
                    for v in qr.enumerate_vertices(rc).vertices)
         assert abs(val - best) <= 1e-8
+
+
+def test_corner_set_rejects_more_than_seven_senders():
+    assert len(qr.corner_set(zero_constants(7)).vertices) == 1
+    with pytest.raises(RegionError, match="this region has 8"):
+        qr.corner_set(zero_constants(8))
+
+
+# Frozenset references: corner points, membership and supermodularity
+# computed one subset at a time through ``rc.value``.
+
+def _reference_corner_set(rc, tol=DEDUP_TOL):
+    kept = []
+    for perm in itertools.permutations(sorted(rc.senders)):
+        rates = {}
+        for i in range(rc.m):
+            after = rc.value(perm[i + 1:]) if i + 1 < rc.m else 0.0
+            rates[perm[i]] = rc.value(perm[i:]) - after
+        point = np.array([rates[lab] for lab in rc.senders])
+        if any(np.max(np.abs(point - k)) <= tol for k, _ in kept):
+            continue
+        kept.append((point, perm))
+    return kept
+
+
+def _reference_membership(rc, q, tol=FEAS_TOL):
+    violated, tight = [], []
+    for subset in nonempty_subsets(rc.senders):
+        total = q.subset_sum(subset)
+        if total < rc.value(subset) - tol:
+            violated.append(subset)
+        elif abs(total - rc.value(subset)) <= tol:
+            tight.append(subset)
+    verdict = "outside" if violated else "boundary" if tight else "inside"
+    return verdict, tuple(violated), tuple(tight)
+
+
+def _reference_check_supermodular(rc, tol=FEAS_TOL):
+    out = []
+    for k, l in itertools.combinations_with_replacement(
+            nonempty_subsets(rc.senders), 2):
+        lhs = rc.value(k | l) + rc.value(k & l)
+        rhs = rc.value(k) + rc.value(l)
+        if lhs < rhs - tol:
+            out.append((k, l, rhs - lhs))
+    return out
+
+
+def _equivalence_cases():
+    for m, seeds, d_ref in ((2, range(3), 4), (3, range(3), 8),
+                            (4, range(2), 4), (5, range(1), 2),
+                            (6, range(1), 2)):
+        for seed in seeds:
+            state = random_sender_state(m, 1000 * m + seed, d_ref=d_ref)
+            yield f"random m={m} seed={seed}", qr.region_constants(state, "R")
+    w = qr.build_state(StateSpec(family="w", labels=("A1", "A2", "A3", "R"),
+                                 dims=(2, 2, 2, 2), reference="R"))
+    labels4 = ("A1", "A2", "A3", "R")
+    for name, state in (("ghz m=2", ghz_state()),
+                        ("ghz m=3", ghz_state(labels4)),
+                        ("w m=3", w),
+                        ("product m=3", product_state(labels4)),
+                        ("bell with spectator", bell_with_spectator()),
+                        ("bell between senders", bell_between_senders())):
+        yield name, qr.region_constants(state, "R")
+    yield "not supermodular", RegionConstants(
+        ("A1", "A2"), "R", {fs("A1"): 1.0, fs("A2"): 1.0,
+                            fs("A1", "A2"): 1.0})
+    # corners a few DEDUP_TOL apart: dedup decisions at the tolerance edge
+    rng = np.random.default_rng(17)
+    senders = ("A3", "A1", "A4", "A2")
+    yield "near ties", RegionConstants(senders, "R", {
+        s: 0.5 * len(s) + float(rng.uniform(0, 3 * DEDUP_TOL))
+        for s in nonempty_subsets(senders)})
+
+
+@pytest.mark.filterwarnings("ignore:input state is not pure")
+def test_bitmask_core_matches_frozenset_reference():
+    rng = np.random.default_rng(3)
+    for name, rc in _equivalence_cases():
+        ref = _reference_corner_set(rc)
+        vr = qr.corner_set(rc)
+        assert np.array_equal(vr.arrays(), np.array([p for p, _ in ref])), \
+            name
+        assert [v.witness for v in vr.vertices] == [w for _, w in ref], name
+
+        probes = [v.rates for v in vr.vertices]
+        probes += [tuple(rng.uniform(0.0, 2.0, rc.m)) for _ in range(20)]
+        # vertices nudged so that subset sums move by multiples of
+        # 0.3 FEAS_TOL: across the tolerance, never onto it
+        probes += [tuple(np.asarray(r) + rng.choice([-1, 0, 1], rc.m)
+                         * 0.3 * FEAS_TOL) for r in probes[:4]]
+        for rates in probes:
+            q = RatePoint(rc.senders, tuple(float(r) for r in rates))
+            got = qr.membership(rc, q)
+            assert (got.verdict, got.violated, got.tight) \
+                == _reference_membership(rc, q), name
+
+        assert qr.check_supermodular(rc) \
+            == _reference_check_supermodular(rc), name

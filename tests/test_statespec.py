@@ -99,6 +99,15 @@ def test_parse_basis_string_and_bell_pair():
     assert qr.entropy(st, {"A1"}) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_parse_unquoted_basis_digits():
+    text = ("{family: product, labels: [A, B, R], dims: [2, 2, 2], "
+            "basis: 010, reference: R}")
+    with pytest.raises(SpecError, match="quote the digits") as err:
+        parse_state_spec(text)  # YAML reads 010 as octal 8
+    assert err.value.field == "basis"
+    assert parse_state_spec(text.replace("010", "101")).basis == (1, 0, 1)
+
+
 def test_parse_random_pure_needs_seed():
     with pytest.raises(SpecError, match="seed"):
         parse_state_spec("{family: random_pure, labels: [A, R], "
