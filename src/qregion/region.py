@@ -195,7 +195,7 @@ def region_constants(state: MultipartyState,
     h_single = {lab: qstate.entropy(state, {lab}) for lab in senders}
     h_ref = qstate.entropy(state, {reference})
     return RegionConstants(senders, reference, {
-        s: 0.5 * (sum(h_single[lab] for lab in s) + h_ref
+        s: 0.5 * (sum(h_single[lab] for lab in senders if lab in s) + h_ref
                   - qstate.entropy(state, set(s) | {reference}))
         for s in nonempty_subsets(senders)})
 

@@ -122,8 +122,8 @@ def typical_projection(state: MultipartyState, sender: str, n: int,
     Warns when the retained probability drops below one half (the
     window is too tight for this n).
     """
-    if delta < 0:
-        raise SimError("delta must be nonnegative")
+    if not math.isfinite(delta) or delta < 0:
+        raise SimError(f"delta must be finite and nonnegative, got {delta}")
     if n < 1:
         raise SimError("need n >= 1 copies")
     marg = qstate.partial_trace_op(state.op, state.dims,
@@ -167,17 +167,6 @@ def typical_projection(state: MultipartyState, sender: str, n: int,
                              float(retained), typical_dim)
 
 
-def _apply_block_operator(op: np.ndarray, block_dim: int,
-                          mat: np.ndarray) -> np.ndarray:
-    """(M (x) I) op (M (x) I)^dagger for M acting on the leading block."""
-    d = op.shape[0]
-    rest = d // block_dim
-    t = op.reshape(block_dim, rest, block_dim, rest)
-    t = np.einsum("ij,jrks->irks", mat, t)
-    t = np.einsum("irks,lk->irls", t, mat.conj())
-    return t.reshape(d, d)
-
-
 # ---------------------------------------------------------------------------
 # decoupling curves
 
@@ -215,14 +204,28 @@ class DecouplingCurve:
         return "\n".join(lines) + "\n"
 
 
-def _grouped_pure_vector(state: MultipartyState, n: int) -> np.ndarray:
-    """n-copy amplitude vector with each label's copies grouped."""
+def _grouped_vector(state: MultipartyState, n: int,
+                    first: int) -> tuple[np.ndarray, int]:
+    """Purified n-copy amplitude vector and its purifier dimension.
+
+    The purification weights each eigenvector of the state above
+    ``EIG_CUTOFF`` (descending) by the square root of its normalized
+    eigenvalue, so a pure input keeps its eigenvector unscaled.  Each
+    label's copies are grouped into one block, label ``first`` leads,
+    and the ``r**n`` purifier block is the trailing axis.
+    """
     ev, vecs = np.linalg.eigh(qstate.hermitian_part(state.op))
-    v1 = vecs[:, int(np.argmax(ev))]
-    vec = qstate.kron_all([v1] * n)
+    order = np.argsort(ev)[::-1]
+    keep = order[ev[order] > qstate.EIG_CUTOFF]
+    psi = vecs[:, keep] * np.sqrt(ev[keep] / ev[keep].sum())
+    r = psi.shape[1]
     k = len(state.dims)
-    order = [c * k + l for l in range(k) for c in range(n)]
-    return vec.reshape(list(state.dims) * n).transpose(order).reshape(-1)
+    blocks = [first] + [l for l in range(k + 1) if l != first]
+    # copy-major axes (c, l) -> block-major (l, c)
+    axes = [c * (k + 1) + l for l in blocks for c in range(n)]
+    vec = qstate.kron_all([psi.reshape(-1)] * n)
+    return (vec.reshape((list(state.dims) + [r]) * n).transpose(axes)
+            .reshape(-1), r ** n)
 
 
 def decoupling_curve(state: MultipartyState, sender: str, reference: str,
@@ -230,13 +233,14 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
                      typical_delta: float | None = None) -> DecouplingCurve:
     """Decoupling error versus qubit rate for one sender.
 
-    Per trial: take n grouped copies (optionally projected onto the
-    delta-typical sender subspace and renormalized), rotate the sender
-    block by a fresh Haar unitary, send the leading 2^(nQ)-dimensional
-    factor, and record the normalized trace distance and fidelity
-    between the kept-remainder/reference joint state and the product of
-    its marginals.  Rates are quantized to whole qubits (fractional nQ
-    floored, with a note).  Trial t uses the seed pair (seed, t).
+    Per trial: take n grouped copies of the purified state (optionally
+    projected onto the delta-typical sender subspace and renormalized),
+    rotate the sender block by a fresh Haar unitary, send the leading
+    2^(nQ)-dimensional factor, and record the normalized trace distance
+    and fidelity between the kept-remainder/reference joint state and
+    the product of its marginals; the purifier is traced out with the
+    rest.  Rates are quantized to whole qubits (fractional nQ floored,
+    with a note).  Trial t uses the seed pair (seed, t).
     """
     s_idx = state.index_of(sender)
     r_idx = state.index_of(reference)
@@ -244,6 +248,8 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
         raise SimError("sender and reference must differ")
     if trials < 1:
         raise SimError("need at least one trial")
+    if n < 1:
+        raise SimError("need n >= 1 copies")
     d_s = state.dims[s_idx]
     q_max = n * math.log2(d_s)
     notes: list[str] = []
@@ -258,66 +264,46 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
                          f"floored to {nq} qubits")
         splits.append((float(q), nq))
 
-    dims_grouped = [d ** n for d in state.dims]
-    if int(np.prod(dims_grouped)) > qstate.MAX_TOTAL_DIM:
+    # compared in logs: the integer power itself is slow for huge n
+    if n * math.log2(state.dim) > math.log2(qstate.MAX_TOTAL_DIM):
         raise SimError("n-copy state exceeds the dimension cap")
+    dims_grouped = [d ** n for d in state.dims]
     block = dims_grouped[s_idx]
-    retained = None
-    delta = None
-    # reorder: sender block first, everything else after in label order
-    other = [i for i in range(len(state.labels)) if i != s_idx]
-    rest_dims = [dims_grouped[i] for i in other]
-    rest = int(np.prod(rest_dims, initial=1))
-    ref_pos = 2 + other.index(r_idx)  # after the (A1, A2) split axes
-
-    # pure inputs evolve as amplitude vectors, mixed ones as operators
-    vec = None
-    op = None
-    if state.is_pure(1e-12):
-        vec = _grouped_pure_vector(state, n)
-        vec = vec.reshape(dims_grouped).transpose([s_idx] + other).reshape(-1)
-    else:
-        grouped = ncopy_state(state, n)
-        op = qstate.reorder_subsystems(grouped.op, grouped.dims,
-                                       [s_idx] + other)
-
-    if typical_delta is not None:
-        proj = typical_projection(state, sender, n, typical_delta)
-        retained = proj.retained_probability
-        delta = proj.delta
-        if vec is not None:
-            vec = (proj.projector @ vec.reshape(block, rest)).reshape(-1)
-            vec = vec / np.linalg.norm(vec)
-        else:
-            op = _apply_block_operator(op, block, proj.projector)
-            op = op / np.real(np.trace(op))
-
     for q, nq in splits:
         if block % (2 ** nq) != 0:
             raise SimError(f"cannot split a block of dimension {block} "
                            f"into {2 ** nq} sent dimensions: non-integer "
                            f"qubit split")
+    if block > MAX_HAAR_DIM:
+        raise SimError(f"n-copy sender block of dimension {block} exceeds "
+                       f"the Haar cap {MAX_HAAR_DIM}")
+
+    # sender block first, the other labels after it in label order, and
+    # the purifier block last
+    vec, purifier = _grouped_vector(state, n, s_idx)
+    rest = vec.size // block
+    other = [i for i in range(len(state.labels)) if i != s_idx]
+    rest_dims = [dims_grouped[i] for i in other] + [purifier]
+    ref_pos = 2 + other.index(r_idx)  # after the (A1, A2) split axes
+    d_ref = dims_grouped[r_idx]
+    retained = delta = None
+    if typical_delta is not None:
+        proj = typical_projection(state, sender, n, typical_delta)
+        retained, delta = proj.retained_probability, proj.delta
+        vec = (proj.projector @ vec.reshape(block, rest)).reshape(-1)
+        vec = vec / np.linalg.norm(vec)
 
     points = []
     dists = np.zeros((len(splits), trials))
     fids = np.zeros((len(splits), trials))
     for t in range(trials):
         u = haar_unitary(block, [seed, t])
-        if vec is not None:
-            rotated_vec = (u @ vec.reshape(block, rest)).reshape(-1)
-            rotated = None
-        else:
-            rotated = _apply_block_operator(op, block, u)
+        rotated = (u @ vec.reshape(block, rest)).reshape(-1)
         for gi, (q, nq) in enumerate(splits):
             d_a1 = 2 ** nq
             d_a2 = block // d_a1
-            dims = [d_a1, d_a2] + rest_dims
-            keep = [1, ref_pos]
-            if vec is not None:
-                joint = qstate.vector_marginal(rotated_vec, dims, keep)
-            else:
-                joint = qstate.partial_trace_op(rotated, dims, keep)
-            d_ref = rest_dims[ref_pos - 2]
+            joint = qstate.vector_marginal(rotated, [d_a1, d_a2] + rest_dims,
+                                           [1, ref_pos])
             sigma_a2 = qstate.partial_trace_op(joint, [d_a2, d_ref], [0])
             sigma_r = qstate.partial_trace_op(joint, [d_a2, d_ref], [1])
             product = np.kron(sigma_a2, sigma_r)

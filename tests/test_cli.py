@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,3 +254,40 @@ def test_simulate_rejects_nan_grid(tmp_path, capsys, ghz_spec_file):
                         "--out", str(tmp_path / "c.csv"), "--copies", "2",
                         "--grid", "0,nan", "--trials", "2"]) == 2
     assert "grid value nan outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--copies", "0"], "need n >= 1 copies"),
+    (["--copies", "-1"], "need n >= 1 copies"),
+    (["--copies", "2", "--delta", "nan"], "delta must be finite"),
+], ids=["zero-copies", "negative-copies", "nan-delta"])
+def test_simulate_rejects_bad_copies_and_delta(tmp_path, capsys,
+                                                ghz_spec_file, flags,
+                                                message):
+    out = tmp_path / "c.csv"
+    assert run_command(["simulate", "--state", str(ghz_spec_file),
+                        "--out", str(out), "--grid", "0",
+                        "--trials", "2"] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_region_report_bytes_independent_of_hash_seed(tmp_path):
+    # string hashing, and with it frozenset iteration order, changes
+    # with PYTHONHASHSEED; the constants must not
+    spec = tmp_path / "bell4.spec"
+    spec.write_text("{family: bell, labels: [A1, A2, A3, R], "
+                    "dims: [2, 2, 2, 2], pair: [A1, R], reference: R}\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    texts = []
+    for hash_seed in ("0", "2"):
+        out = tmp_path / f"region-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "qregion", "region",
+                        "--state", str(spec), "--out", str(out)],
+                       env=env, check=True, capture_output=True,
+                       timeout=120)
+        texts.append(_strip_timestamp(out.read_text()))
+    assert texts[0] == texts[1]

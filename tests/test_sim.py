@@ -1,13 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import qregion as qr
+from qregion import qstate, sim
 from qregion.sim import SimError
 from qregion.statespec import BranchSpec, StateSpec
 
-from helpers import bell_state, ghz_state, product_state, random_sender_state
+from helpers import (bell_state, ghz_state, product_state,
+                     random_mixture_state, random_sender_state)
 
 
 def test_schedule_ghz():
@@ -199,3 +202,105 @@ def test_decoupling_csv_format():
     assert lines[0] == "Q,trials,mean_dist,stderr_dist,mean_fid"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "0"
+
+
+def test_decoupling_rejects_fewer_than_one_copy():
+    bell = bell_state()
+    for n in (0, -1):
+        with pytest.raises(SimError, match=r"need n >= 1 copies"):
+            qr.decoupling_curve(bell, "A", "R", n, [0.0], trials=2, seed=1)
+
+
+def test_decoupling_checks_splits_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("n-copy vector built before the checks")
+
+    monkeypatch.setattr(sim, "_grouped_vector", unreachable)
+    monkeypatch.setattr(sim, "typical_projection", unreachable)
+    trit = qr.random_pure_state(("A", "R"), (3, 3), 0)
+    with pytest.raises(SimError, match="qubit split"):
+        qr.decoupling_curve(trit, "A", "R", 1, [1.0], trials=2, seed=1,
+                            typical_delta=0.5)
+    # a 512-dimensional sender block fits the state cap but not the
+    # Haar sampler
+    wide = qr.random_pure_state(("A", "R"), (2, 1), 0)
+    with pytest.raises(SimError, match="Haar cap"):
+        qr.decoupling_curve(wide, "A", "R", 9, [0.0], trials=2, seed=1,
+                            typical_delta=0.5)
+
+
+def test_typical_projection_rejects_non_finite_delta():
+    bell = bell_state()
+    for delta in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(SimError, match="delta"):
+            qr.typical_projection(bell, "A", 2, delta)
+
+
+def _conjugate_block(op, block, mat):
+    """(M (x) I) op (M (x) I)^dagger for M acting on the leading block."""
+    d = op.shape[0]
+    t = op.reshape(block, d // block, block, d // block)
+    t = np.einsum("ij,jrks->irks", mat, t)
+    t = np.einsum("irks,lk->irls", t, mat.conj())
+    return t.reshape(d, d)
+
+
+def _operator_reference(state, sender, reference, n, grid, trials, seed,
+                        typical_delta=None):
+    """Decoupling curve evolved as an n-copy density operator: the
+    sender block is conjugated by each Haar draw and the joint state of
+    the kept remainder and the reference is a partial trace."""
+    s_idx, r_idx = state.index_of(sender), state.index_of(reference)
+    grouped = qr.ncopy_state(state, n)
+    other = [i for i in range(len(state.labels)) if i != s_idx]
+    op = qstate.reorder_subsystems(grouped.op, grouped.dims,
+                                   [s_idx] + other)
+    block = grouped.dims[s_idx]
+    rest_dims = [grouped.dims[i] for i in other]
+    d_ref = grouped.dims[r_idx]
+    if typical_delta is not None:
+        proj = qr.typical_projection(state, sender, n, typical_delta)
+        op = _conjugate_block(op, block, proj.projector)
+        op = op / np.real(np.trace(op))
+    nqs = [int(math.floor(n * q + 1e-9)) for q in grid]
+    dists = np.zeros((len(grid), trials))
+    fids = np.zeros((len(grid), trials))
+    for t in range(trials):
+        rotated = _conjugate_block(op, block,
+                                   qr.haar_unitary(block, [seed, t]))
+        for gi, nq in enumerate(nqs):
+            d_a2 = block // 2 ** nq
+            joint = qstate.partial_trace_op(
+                rotated, [2 ** nq, d_a2] + rest_dims,
+                [1, 2 + other.index(r_idx)])
+            product = np.kron(
+                qstate.partial_trace_op(joint, [d_a2, d_ref], [0]),
+                qstate.partial_trace_op(joint, [d_a2, d_ref], [1]))
+            dists[gi, t] = qstate.trace_norm(joint - product) / 2.0
+            fids[gi, t] = qstate.fidelity_ops(joint, product)
+    return [(row.mean(), row.std(ddof=1) / math.sqrt(trials), fid.mean())
+            for row, fid in zip(dists, fids)]
+
+
+def _assert_matches_reference(state, sender, n, grid, typical_delta=None):
+    kw = dict(trials=6, seed=31, typical_delta=typical_delta)
+    curve = qr.decoupling_curve(state, sender, "R", n, grid, **kw)
+    ref = _operator_reference(state, sender, "R", n, grid, **kw)
+    for point, (mean, stderr, fid) in zip(curve.points, ref):
+        assert abs(point.mean_dist - mean) <= 1e-12
+        assert abs(point.stderr_dist - stderr) <= 1e-12
+        assert abs(point.mean_fid - fid) <= 1e-12
+
+
+def test_mixed_decoupling_matches_operator_reference():
+    mix = random_mixture_state(np.random.default_rng(0), ("A", "R"), (2, 2))
+    assert not mix.is_pure(1e-6)
+    for n in (1, 2, 3):
+        _assert_matches_reference(mix, "A", n, [k / n for k in range(n + 1)])
+    _assert_matches_reference(mix, "A", 3, [0.0, 1 / 3, 1.0],
+                              typical_delta=0.8)
+
+    mix3 = random_mixture_state(np.random.default_rng(5), ("A1", "A2", "R"),
+                                (2, 2, 2))
+    for sender in ("A1", "A2"):
+        _assert_matches_reference(mix3, sender, 2, [0.0, 0.5, 1.0])
