@@ -9,6 +9,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -171,15 +172,15 @@ def _esq_sweep(dim: int, d_e_max: int) -> tuple[int, ...]:
 def _esq_fields(state, rc, args) -> tuple[dict, dict]:
     """Report fields shared by esq and classify, and the outer bound."""
     estimates, raw = {}, {}
+    # built before any search so a bad budget fails on every state
+    base = EsqBudget(restarts=args.restarts, iterations=args.iterations,
+                     seed=args.seed)
     for subset in rc.subsets:
         if len(subset) < 2:
             continue
         marginal = qstate.reduced_state(state, subset)
-        budget = EsqBudget(
-            d_e_values=_esq_sweep(marginal.dim, args.d_e_max),
-            restarts=args.restarts,
-            iterations=args.iterations,
-            seed=args.seed)
+        budget = dataclasses.replace(
+            base, d_e_values=_esq_sweep(marginal.dim, args.d_e_max))
         est = esq.esq_upper_bound(marginal, [{lab} for lab in sorted(subset)],
                                   budget)
         raw[subset] = est

@@ -75,6 +75,12 @@ class EsqBudget:
     iterations: int = 4
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("restarts", "iterations"):
+            if getattr(self, name) < 0:
+                raise EsqError(f"budget {name} must be >= 0, "
+                               f"got {getattr(self, name)}")
+
 
 @dataclass(frozen=True, eq=False)
 class EsqEstimate:

@@ -1,7 +1,8 @@
 """Dense multipartite quantum-state algebra.
 
 States are labeled density operators on a tensor product of small
-Hilbert spaces.  The module provides construction of named families,
+Hilbert spaces, each stored with its canonical minimal purification.
+The module provides construction of named families,
 partial traces, von Neumann entropies, multiparty information,
 fidelity, trace distance and purification.  All entropies are in bits.
 """
@@ -121,13 +122,26 @@ class MixtureBranch:
     kets: tuple[np.ndarray, ...]  # one local pure ket per label
 
 
+class _Ket:
+    """Unit vector that ``state_from_vector`` passes in place of ``op``."""
+
+    def __init__(self, vec: np.ndarray):
+        self.vec = vec
+
+
 @dataclass(frozen=True, eq=False)
 class MultipartyState:
     """Labeled density operator with optional mixture provenance.
 
-    Invariants checked at construction: unit trace, Hermiticity,
-    positivity (within 1e-9), matching shape, distinct labels, and, if
-    provenance is present, that the recorded mixture reproduces ``op``.
+    Invariants checked at construction: finite entries, unit trace,
+    Hermiticity, positivity (within 1e-9), matching shape, distinct
+    labels, and, if provenance is present, that the recorded mixture
+    reproduces ``op``.
+
+    ``psi`` (dim × r, read-only) is the canonical minimal purification:
+    the eigenvectors above ``EIG_CUTOFF``, by descending eigenvalue,
+    scaled by sqrt(eigenvalue).  It is set here, by the one eigensolve
+    of an operator input, or as the single column of a vector input.
     """
 
     labels: tuple[str, ...]
@@ -135,6 +149,7 @@ class MultipartyState:
     op: np.ndarray
     provenance: tuple[MixtureBranch, ...] | None = field(
         default=None, repr=False)
+    psi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -150,20 +165,33 @@ class MultipartyState:
         d = int(np.prod(dims))
         if d > MAX_TOTAL_DIM:
             raise StateError(f"total dimension {d} exceeds cap {MAX_TOTAL_DIM}")
-        op = np.asarray(self.op, dtype=complex)
-        if op.shape != (d, d):
-            raise StateError(f"operator shape {op.shape} ≠ ({d}, {d})")
-        tr = complex(np.trace(op))
-        if abs(tr - 1.0) > _STATE_TOL:
-            raise StateError(f"trace {tr:.12g} ≠ 1")
-        if np.abs(op - op.conj().T).max() > _STATE_TOL:
-            raise StateError("operator not Hermitian")
-        ev_min = float(np.linalg.eigvalsh(hermitian_part(op)).min())
-        if ev_min < -_STATE_TOL:
-            raise StateError(f"min eigenvalue {ev_min:.3g} < -1e-9")
-        op = op.copy()
-        op.flags.writeable = False
-        object.__setattr__(self, "op", op)
+        if isinstance(self.op, _Ket):
+            psi = self.op.vec.reshape(-1, 1)
+            n = psi.shape[0]
+            if n != d:
+                raise StateError(f"operator shape ({n}, {n}) ≠ ({d}, {d})")
+            op = np.outer(psi, psi.conj())
+        else:
+            op = np.asarray(self.op, dtype=complex)
+            if op.shape != (d, d):
+                raise StateError(f"operator shape {op.shape} ≠ ({d}, {d})")
+            if not np.isfinite(op).all():
+                raise StateError("operator has non-finite entries")
+            tr = complex(np.trace(op))
+            if abs(tr - 1.0) > _STATE_TOL:
+                raise StateError(f"trace {tr:.12g} ≠ 1")
+            if np.abs(op - op.conj().T).max() > _STATE_TOL:
+                raise StateError("operator not Hermitian")
+            ev, vecs = np.linalg.eigh(hermitian_part(op))
+            if ev.min() < -_STATE_TOL:
+                raise StateError(f"min eigenvalue {ev.min():.3g} < -1e-9")
+            order = np.argsort(ev)[::-1]
+            keep = order[ev[order] > EIG_CUTOFF]
+            psi = vecs[:, keep] * np.sqrt(ev[keep])
+            op = op.copy()
+        for name, arr in (("op", op), ("psi", psi)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.provenance is not None:
             rebuilt = np.zeros_like(op)
             for br in self.provenance:
@@ -191,7 +219,8 @@ class MultipartyState:
                            initial=1))
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.op @ self.op)))
+        gram = self.psi.conj().T @ self.psi  # r × r, same spectrum as op
+        return float(np.sum(np.abs(gram) ** 2))
 
     def is_pure(self, tol: float = 1e-7) -> bool:
         return self.purity() >= 1.0 - tol
@@ -208,12 +237,13 @@ def state_from_vector(vec: np.ndarray, labels: Sequence[str],
                       dims: Sequence[int],
                       provenance=None) -> MultipartyState:
     vec = np.asarray(vec, dtype=complex)
+    if not np.isfinite(vec).all():
+        raise StateError("vector has non-finite entries")
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise StateError("zero vector")
-    vec = vec / norm
-    return MultipartyState(tuple(labels), tuple(dims),
-                           np.outer(vec, vec.conj()), provenance)
+    return MultipartyState(tuple(labels), tuple(dims), _Ket(vec / norm),
+                           provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +365,18 @@ def reduced_state(state: MultipartyState,
 
 
 def entropy(state: MultipartyState, mask: Iterable[str]) -> float:
-    """Von Neumann entropy in bits of the marginal on ``mask``."""
+    """Von Neumann entropy in bits of the marginal on ``mask``, read
+    from ``psi`` on the smaller of ``mask`` and its complement plus the
+    purifier (the two marginals share their nonzero spectrum)."""
     idx = state.indices_of(mask)
     if not idx:
         raise StateError("mask must be nonempty")
-    if len(idx) == len(state.labels):
-        return entropy_of_op(state.op)
-    return entropy_of_op(partial_trace_op(state.op, state.dims, idx))
+    dims = list(state.dims) + [state.psi.shape[1]]
+    d_mask = int(np.prod([dims[i] for i in idx]))
+    side = idx
+    if d_mask > state.dim // d_mask * dims[-1]:
+        side = [i for i in range(len(dims)) if i not in idx]
+    return entropy_of_op(vector_marginal(state.psi, dims, side))
 
 
 def _check_disjoint(state: MultipartyState, parts, cond):
@@ -435,20 +470,9 @@ def _check_same_shape(a: MultipartyState, b: MultipartyState):
 
 
 def purification_vector(state: MultipartyState) -> tuple[np.ndarray, int]:
-    """Canonical minimal purification as an amplitude matrix.
-
-    Returns (psi, r) where psi has shape (dim, r), r = rank of the
-    state, and the purified ket is sum_k psi[:, k] (x) |k>.  Columns are
-    ordered by descending eigenvalue.
-    """
-    ev, vec = np.linalg.eigh(hermitian_part(state.op))
-    order = np.argsort(ev)[::-1]
-    ev, vec = ev[order], vec[:, order]
-    keep = ev > EIG_CUTOFF
-    ev, vec = ev[keep], vec[:, keep]
-    if ev.size == 0:
-        raise StateError("state has no spectral support")
-    return vec * np.sqrt(ev), int(ev.size)
+    """(psi, r): the state's ``psi`` and its rank; the purified ket is
+    sum_k psi[:, k] (x) |k>."""
+    return state.psi, state.psi.shape[1]
 
 
 def purify(state: MultipartyState, new_label: str) -> MultipartyState:

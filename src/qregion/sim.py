@@ -22,6 +22,9 @@ from .qstate import MultipartyState
 
 MAX_HAAR_DIM = 256
 
+#: largest joint operator (kept remainder times reference) a trial forms
+MAX_JOINT_DIM = 256
+
 
 class SimError(ValueError):
     """Invalid simulation arguments."""
@@ -208,16 +211,11 @@ def _grouped_vector(state: MultipartyState, n: int,
                     first: int) -> tuple[np.ndarray, int]:
     """Purified n-copy amplitude vector and its purifier dimension.
 
-    The purification weights each eigenvector of the state above
-    ``EIG_CUTOFF`` (descending) by the square root of its normalized
-    eigenvalue, so a pure input keeps its eigenvector unscaled.  Each
+    The purification is the state's ``psi`` scaled to unit norm.  Each
     label's copies are grouped into one block, label ``first`` leads,
     and the ``r**n`` purifier block is the trailing axis.
     """
-    ev, vecs = np.linalg.eigh(qstate.hermitian_part(state.op))
-    order = np.argsort(ev)[::-1]
-    keep = order[ev[order] > qstate.EIG_CUTOFF]
-    psi = vecs[:, keep] * np.sqrt(ev[keep] / ev[keep].sum())
+    psi = state.psi / np.linalg.norm(state.psi)
     r = psi.shape[1]
     k = len(state.dims)
     blocks = [first] + [l for l in range(k + 1) if l != first]
@@ -277,6 +275,11 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     if block > MAX_HAAR_DIM:
         raise SimError(f"n-copy sender block of dimension {block} exceeds "
                        f"the Haar cap {MAX_HAAR_DIM}")
+    d_ref = dims_grouped[r_idx]
+    joint = block // 2 ** min((nq for _, nq in splits), default=0) * d_ref
+    if joint > MAX_JOINT_DIM:
+        raise SimError(f"joint operator of dimension {joint} exceeds the "
+                       f"cap {MAX_JOINT_DIM}")
 
     # sender block first, the other labels after it in label order, and
     # the purifier block last
@@ -285,7 +288,6 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     other = [i for i in range(len(state.labels)) if i != s_idx]
     rest_dims = [dims_grouped[i] for i in other] + [purifier]
     ref_pos = 2 + other.index(r_idx)  # after the (A1, A2) split axes
-    d_ref = dims_grouped[r_idx]
     retained = delta = None
     if typical_delta is not None:
         proj = typical_projection(state, sender, n, typical_delta)

@@ -291,3 +291,28 @@ def test_region_report_bytes_independent_of_hash_seed(tmp_path):
                        timeout=120)
         texts.append(_strip_timestamp(out.read_text()))
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("esq", ["--restarts", "-1"], "restarts"),
+    ("esq", ["--iterations", "-3"], "iterations"),
+    ("classify", ["--point", "1,1", "--restarts", "-2"], "restarts"),
+], ids=["esq-restarts", "esq-iterations", "classify-restarts"])
+def test_esq_commands_reject_negative_budget(tmp_path, capsys, ghz_spec_file,
+                                             command, flags, field):
+    out = tmp_path / "r.json"
+    assert run_command([command, "--state", str(ghz_spec_file),
+                        "--out", str(out)] + flags) == 2
+    assert f"budget {field} must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_an_oversized_joint_operator(tmp_path, capsys):
+    spec = tmp_path / "bell.spec"
+    spec.write_text("{family: bell, labels: [A, R], dims: [2, 2], "
+                    "pair: [A, R], reference: R}\n")
+    out = tmp_path / "c.csv"
+    assert run_command(["simulate", "--state", str(spec), "--out", str(out),
+                        "--copies", "6", "--grid", "0", "--trials", "2"]) == 2
+    assert "joint operator of dimension 4096" in capsys.readouterr().err
+    assert not out.exists()

@@ -393,3 +393,10 @@ def test_edge_budgets():
                              EsqBudget(d_e_values=(1,), restarts=2))
     assert est.best_channel.kind == "trivial"
     assert est.value == est.baseline
+
+
+@pytest.mark.parametrize("field, value", [("restarts", -1),
+                                          ("iterations", -3)])
+def test_budget_rejects_negative_counts(field, value):
+    with pytest.raises(EsqError, match=f"budget {field} must be >= 0"):
+        EsqBudget(**{field: value})

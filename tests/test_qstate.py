@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qregion as qr
-from qregion.qstate import MultipartyState, StateError
+from qregion.qstate import MultipartyState, StateError, state_from_vector
 from qregion.statespec import BranchSpec, StateSpec
 
 from helpers import (bell_state, bell_with_spectator, ghz_state,
@@ -241,3 +241,15 @@ def test_build_state_rejects_unknown_family():
     with pytest.raises(ValueError):
         StateSpec(family="ghzz", labels=("A", "B"), dims=(2, 2),
                   reference="B")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_constructor_rejects_non_finite_operator(bad):
+    with pytest.raises(StateError, match="non-finite"):
+        MultipartyState(("A",), (2,), [[bad, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_state_from_vector_rejects_non_finite_entries(bad):
+    with pytest.raises(StateError, match="non-finite"):
+        state_from_vector([bad, 1], ["A"], [2])

@@ -229,6 +229,23 @@ def test_decoupling_checks_splits_before_building(monkeypatch):
                             typical_delta=0.5)
 
 
+def test_decoupling_checks_joint_cap_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("n-copy vector built before the checks")
+
+    monkeypatch.setattr(sim, "_grouped_vector", unreachable)
+    monkeypatch.setattr(sim, "typical_projection", unreachable)
+    # 6 Bell copies: 64-dim sender block, nothing sent at Q = 0, so the
+    # remainder-reference joint would be 64 x 64 = 4096-dimensional
+    with pytest.raises(SimError, match="joint operator of dimension 4096"):
+        qr.decoupling_curve(bell_state(), "A", "R", 6, [0.0, 1.0], trials=2,
+                            seed=1, typical_delta=0.5)
+    # sending every qubit leaves a 1 x 64 joint: the checks pass
+    with pytest.raises(AssertionError, match="before the checks"):
+        qr.decoupling_curve(bell_state(), "A", "R", 6, [1.0], trials=2,
+                            seed=1)
+
+
 def test_typical_projection_rejects_non_finite_delta():
     bell = bell_state()
     for delta in (float("nan"), float("inf"), -0.1):
