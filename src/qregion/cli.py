@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -161,8 +162,9 @@ def _cmd_greedy(args) -> int:
 
 
 def _esq_sweep(dim: int, d_e_max: int) -> tuple[int, ...]:
-    values = tuple(d for d in range(1, d_e_max + 1)
-                   if dim * d * d <= esq.ESQ_DIM_CAP)
+    # the largest d with dim * d**2 <= ESQ_DIM_CAP bounds the sweep
+    values = tuple(range(1, min(d_e_max,
+                                math.isqrt(esq.ESQ_DIM_CAP // dim)) + 1))
     if not values:
         raise EsqError(f"state dimension {dim} leaves no room for any "
                        f"extension within the cap {esq.ESQ_DIM_CAP}")

@@ -2,12 +2,15 @@
 
 States are labeled density operators on a tensor product of small
 Hilbert spaces, each stored with its canonical minimal purification.
-The module provides construction of named families,
-partial traces, von Neumann entropies, multiparty information,
-fidelity, trace distance and purification.  All entropies are in bits.
+The module provides construction of named families, marginals and
+reduced states read from the purification, von Neumann entropies,
+multiparty information, fidelity, trace distance and purification.
+The marginal and entropy kernels take stacks, so a batch of states is
+one call.  All entropies are in bits.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -33,59 +36,48 @@ class StateError(ValueError):
 # raw-array helpers (hot paths work on bare ndarrays)
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
-
-
-def partial_trace_op(op: np.ndarray, dims: Sequence[int],
-                     keep: Sequence[int]) -> np.ndarray:
-    """Marginal of a density operator, keeping the subsystems in ``keep``.
-
-    ``keep`` preserves the original subsystem order regardless of the
-    order given.
-    """
-    dims = list(dims)
-    keep = sorted(keep)
-    t = op.reshape(dims + dims)
-    drop = [i for i in range(len(dims)) if i not in keep]
-    for i in reversed(drop):
-        t = np.trace(t, axis1=i, axis2=i + len(dims))
-        dims.pop(i)
-    d = int(np.prod(dims)) if dims else 1
-    return np.ascontiguousarray(t.reshape(d, d))
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def vector_marginal(vec: np.ndarray, dims: Sequence[int],
                     keep: Sequence[int]) -> np.ndarray:
-    """Marginal of a pure state given as an amplitude vector."""
-    dims = list(dims)
+    """Marginals of pure states given as a (..., prod(dims)) stack of
+    amplitude vectors, keeping the subsystems in ``keep`` in their
+    original order."""
+    lead = vec.shape[:-1]
     keep = sorted(keep)
     rest = [i for i in range(len(dims)) if i not in keep]
-    t = vec.reshape(dims).transpose(keep + rest)
-    dk = int(np.prod([dims[i] for i in keep])) if keep else 1
-    m = t.reshape(dk, -1)
-    return m @ m.conj().T
+    t = vec.reshape(lead + tuple(dims)).transpose(
+        list(range(len(lead))) + [len(lead) + i for i in keep + rest])
+    m = t.reshape(lead + (math.prod(dims[i] for i in keep), -1))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
-def reorder_subsystems(op: np.ndarray, dims: Sequence[int],
-                       order: Sequence[int]) -> np.ndarray:
-    """Permute tensor factors of a density operator into ``order``."""
-    k = len(dims)
-    t = op.reshape(list(dims) * 2)
-    perm = list(order) + [i + k for i in order]
-    d = int(np.prod(dims))
-    return np.ascontiguousarray(t.transpose(perm).reshape(d, d))
+def entropy_of_op(op: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of a (..., d, d) stack of density
+    operators, shape (...).
 
-
-def entropy_of_op(op: np.ndarray) -> float:
-    """Von Neumann entropy in bits of a density operator."""
+    One eigensolve covers the stack.  ``eigvalsh`` sorts ascending, so
+    the eigenvalues above ``EIG_CUTOFF`` are a suffix of each row; rows
+    are summed in groups of equal support size, so each sum runs over
+    exactly those eigenvalues in order and rounds as a single matrix's.
+    """
     ev = np.linalg.eigvalsh(hermitian_part(op))
     if ev.size and ev.min() < -_PSD_TOL:
         raise StateError(f"operator not positive semidefinite "
                          f"(min eigenvalue {ev.min():.3g})")
-    ev = ev[ev > EIG_CUTOFF]
-    if ev.size == 0:
-        return 0.0
-    return float(-(ev * np.log2(ev)).sum())
+    keep = ev > EIG_CUTOFF
+    if ev.ndim == 1:  # one matrix: nothing to group
+        ev = ev[keep]
+        return -(ev * np.log2(ev)).sum() if ev.size else np.float64(0.0)
+    d = ev.shape[-1]
+    support = keep.sum(axis=-1)
+    out = np.zeros(support.shape)
+    for size in set(support.flat) - {0}:
+        rows = support == size
+        kept = ev[rows][:, d - size:]
+        out[rows] = -(kept * np.log2(kept)).sum(axis=-1)
+    return out
 
 
 def psd_sqrt(op: np.ndarray) -> np.ndarray:
@@ -353,7 +345,8 @@ def reduced_state(state: MultipartyState,
     if not keep:
         raise StateError("keep must be a nonempty set of labels")
     idx = state.indices_of(keep)
-    op = partial_trace_op(state.op, state.dims, idx)
+    op = vector_marginal(state.psi.reshape(-1),
+                         state.dims + state.psi.shape[1:], idx)
     labels = tuple(state.labels[i] for i in idx)
     dims = tuple(state.dims[i] for i in idx)
     provenance = None
@@ -376,7 +369,8 @@ def entropy(state: MultipartyState, mask: Iterable[str]) -> float:
     side = idx
     if d_mask > state.dim // d_mask * dims[-1]:
         side = [i for i in range(len(dims)) if i not in idx]
-    return entropy_of_op(vector_marginal(state.psi, dims, side))
+    return float(entropy_of_op(
+        vector_marginal(state.psi.reshape(-1), dims, side)))
 
 
 def _check_disjoint(state: MultipartyState, parts, cond):

@@ -25,6 +25,9 @@ MAX_HAAR_DIM = 256
 #: largest joint operator (kept remainder times reference) a trial forms
 MAX_JOINT_DIM = 256
 
+#: most Haar trials one decoupling curve runs; the work is linear in it
+MAX_TRIALS = 10_000
+
 
 class SimError(ValueError):
     """Invalid simulation arguments."""
@@ -93,15 +96,11 @@ def ncopy_state(state: MultipartyState, n: int) -> MultipartyState:
     block, so the labels survive with dimensions raised to the n."""
     if n < 1:
         raise SimError("need n >= 1 copies")
-    k = len(state.labels)
-    op = state.op
-    for _ in range(n - 1):
-        op = np.kron(op, state.op)
-    # copy-major axis order (c, l) -> label-major (l, c)
-    dims_per_copy = list(state.dims) * n
-    order = [c * k + l for l in range(k) for c in range(n)]
-    op = qstate.reorder_subsystems(op, dims_per_copy, order)
+    if n * math.log2(state.dim) > math.log2(qstate.MAX_TOTAL_DIM):
+        raise SimError("n-copy state exceeds the dimension cap")
+    vec, purifier = _grouped_vector(state, n, 0)
     dims = tuple(d ** n for d in state.dims)
+    op = qstate.vector_marginal(vec, dims + (purifier,), range(len(dims)))
     return MultipartyState(state.labels, dims, op)
 
 
@@ -129,8 +128,7 @@ def typical_projection(state: MultipartyState, sender: str, n: int,
         raise SimError(f"delta must be finite and nonnegative, got {delta}")
     if n < 1:
         raise SimError("need n >= 1 copies")
-    marg = qstate.partial_trace_op(state.op, state.dims,
-                                   [state.index_of(sender)])
+    marg = qstate.reduced_state(state, [sender]).op
     ev, vec = np.linalg.eigh(qstate.hermitian_part(marg))
     order = np.argsort(ev)[::-1]
     ev, vec = ev[order], vec[:, order]
@@ -246,6 +244,8 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
         raise SimError("sender and reference must differ")
     if trials < 1:
         raise SimError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise SimError(f"trials {trials} exceeds the cap {MAX_TRIALS}")
     if n < 1:
         raise SimError("need n >= 1 copies")
     d_s = state.dims[s_idx]
@@ -306,8 +306,9 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
             d_a2 = block // d_a1
             joint = qstate.vector_marginal(rotated, [d_a1, d_a2] + rest_dims,
                                            [1, ref_pos])
-            sigma_a2 = qstate.partial_trace_op(joint, [d_a2, d_ref], [0])
-            sigma_r = qstate.partial_trace_op(joint, [d_a2, d_ref], [1])
+            j4 = joint.reshape(d_a2, d_ref, d_a2, d_ref)
+            sigma_a2 = np.trace(j4, axis1=1, axis2=3)
+            sigma_r = np.trace(j4, axis1=0, axis2=2)
             product = np.kron(sigma_a2, sigma_r)
             dists[gi, t] = qstate.trace_norm(joint - product) / 2.0
             fids[gi, t] = qstate.fidelity_ops(joint, product)

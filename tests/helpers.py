@@ -1,9 +1,9 @@
-"""Shared state builders for the test suite."""
+"""Shared state builders and reference kernels for the test suite."""
 from __future__ import annotations
 
 import numpy as np
 
-from qregion import build_state, random_pure_state
+from qregion import build_state, qstate, random_pure_state
 from qregion.statespec import BranchSpec, StateSpec
 
 
@@ -72,3 +72,68 @@ def random_mixture_spec(rng, labels, dims, branches=3):
 
 def random_mixture_state(rng, labels=("X1", "X2"), dims=(2, 2), branches=3):
     return build_state(random_mixture_spec(rng, labels, dims, branches))
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the one-matrix and dense-operator code that the
+# stacked kernels in qregion replaced, kept to check them against
+
+def partial_trace_op(op, dims, keep):
+    """Marginal of a density operator, keeping the subsystems in ``keep``
+    (in their original order)."""
+    dims = list(dims)
+    keep = sorted(keep)
+    t = op.reshape(dims + dims)
+    drop = [i for i in range(len(dims)) if i not in keep]
+    for i in reversed(drop):
+        t = np.trace(t, axis1=i, axis2=i + len(dims))
+        dims.pop(i)
+    d = int(np.prod(dims)) if dims else 1
+    return np.ascontiguousarray(t.reshape(d, d))
+
+
+def reorder_subsystems(op, dims, order):
+    """Permute tensor factors of a density operator into ``order``."""
+    k = len(dims)
+    t = op.reshape(list(dims) * 2)
+    perm = list(order) + [i + k for i in order]
+    d = int(np.prod(dims))
+    return np.ascontiguousarray(t.transpose(perm).reshape(d, d))
+
+
+def vector_marginal_reference(vec, dims, keep):
+    """Marginal of one pure state given as an amplitude vector."""
+    dims = list(dims)
+    keep = sorted(keep)
+    rest = [i for i in range(len(dims)) if i not in keep]
+    t = vec.reshape(dims).transpose(keep + rest)
+    dk = int(np.prod([dims[i] for i in keep])) if keep else 1
+    m = t.reshape(dk, -1)
+    return m @ m.conj().T
+
+
+def entropy_reference(op):
+    """Von Neumann entropy in bits of one density operator."""
+    ev = np.linalg.eigvalsh(qstate.hermitian_part(op))
+    if ev.size and ev.min() < -qstate._PSD_TOL:
+        raise qstate.StateError(f"operator not positive semidefinite "
+                                f"(min eigenvalue {ev.min():.3g})")
+    ev = ev[ev > qstate.EIG_CUTOFF]
+    if ev.size == 0:
+        return 0.0
+    return float(-(ev * np.log2(ev)).sum())
+
+
+def cond_info_reference(psi, x_dims, groups, iso, d_e, d_g):
+    """I(X1;...;Xm|E) of the extension (I (x) V)|psi> for one isometry."""
+    ext = psi @ iso.T  # (dim_X, d_e*d_g)
+    dims = list(x_dims) + [d_e, d_g]
+    vec = ext.reshape(-1)
+    e_ax, g_ax = len(x_dims), len(x_dims) + 1
+    h_e = entropy_reference(vector_marginal_reference(vec, dims, [e_ax]))
+    h_xe = entropy_reference(vector_marginal_reference(vec, dims, [g_ax]))
+    total = 0.0
+    for group in groups:
+        marg = vector_marginal_reference(vec, dims, list(group) + [e_ax])
+        total += entropy_reference(marg)
+    return total - h_xe - (len(groups) - 1) * h_e

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -315,4 +316,44 @@ def test_simulate_refuses_an_oversized_joint_operator(tmp_path, capsys):
     assert run_command(["simulate", "--state", str(spec), "--out", str(out),
                         "--copies", "6", "--grid", "0", "--trials", "2"]) == 2
     assert "joint operator of dimension 4096" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_esq_sweep_stops_at_the_dimension_cap(tmp_path, ghz_spec_file):
+    def too_slow(signum, frame):
+        pytest.fail("esq walked the --d-e-max range")
+
+    out = tmp_path / "esq.json"
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(30)
+    try:
+        code = run_command(["esq", "--state", str(ghz_spec_file), "--out",
+                            str(out), "--d-e-max", "1000000000000",
+                            "--restarts", "1", "--iterations", "0"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    # the A1A2 marginal has dimension 4: 4 * 16**2 = ESQ_DIM_CAP
+    est = json.loads(out.read_text())["esq_estimates"]["A1+A2"]
+    assert est["d_e_values"] == list(range(1, 17))
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("esq", ["--restarts", "1001", "--iterations", "0"],
+     "budget restarts 1001 exceeds the cap 1000"),
+    ("classify", ["--point", "1,1", "--restarts", "1001"],
+     "budget restarts 1001 exceeds the cap 1000"),
+    ("simulate", ["--copies", "1", "--grid", "0", "--trials", "10001"],
+     "trials 10001 exceeds the cap 10000"),
+], ids=["esq-restarts", "classify-restarts", "simulate-trials"])
+def test_work_caps_reject_before_any_search(tmp_path, capsys, command, flags,
+                                            message):
+    spec = tmp_path / "bell.spec"
+    spec.write_text("{family: bell, labels: [A1, A2, R], dims: [2, 2, 2], "
+                    "pair: [A1, R], reference: R}\n")
+    out = tmp_path / "r.out"
+    assert run_command([command, "--state", str(spec), "--out", str(out)]
+                       + flags) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()

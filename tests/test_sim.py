@@ -9,8 +9,9 @@ from qregion import qstate, sim
 from qregion.sim import SimError
 from qregion.statespec import BranchSpec, StateSpec
 
-from helpers import (bell_state, ghz_state, product_state,
-                     random_mixture_state, random_sender_state)
+from helpers import (bell_state, ghz_state, partial_trace_op, product_state,
+                     random_mixture_state, random_sender_state,
+                     reorder_subsystems)
 
 
 def test_schedule_ghz():
@@ -262,19 +263,44 @@ def _conjugate_block(op, block, mat):
     return t.reshape(d, d)
 
 
+def _ncopy_op_reference(state, n):
+    """n-copy density operator with each label's copies grouped: the
+    Kronecker power of ``op`` with its factors reordered label-major."""
+    op = state.op
+    for _ in range(n - 1):
+        op = np.kron(op, state.op)
+    k = len(state.labels)
+    order = [c * k + l for l in range(k) for c in range(n)]
+    return reorder_subsystems(op, list(state.dims) * n, order)
+
+
+def test_ncopy_state_matches_operator_reference():
+    states = [random_mixture_state(np.random.default_rng(2), ("A", "R"),
+                                   (2, 3)),
+              random_mixture_state(np.random.default_rng(3),
+                                   ("A1", "A2", "R"), (2, 2, 2)),
+              qr.random_pure_state(("A", "B", "R"), (2, 3, 2), 4)]
+    for state in states:
+        for n in (1, 2, 3):
+            grouped = qr.ncopy_state(state, n)
+            assert grouped.dims == tuple(d ** n for d in state.dims)
+            assert np.abs(grouped.op
+                          - _ncopy_op_reference(state, n)).max() <= 1e-14
+
+
 def _operator_reference(state, sender, reference, n, grid, trials, seed,
                         typical_delta=None):
     """Decoupling curve evolved as an n-copy density operator: the
     sender block is conjugated by each Haar draw and the joint state of
     the kept remainder and the reference is a partial trace."""
     s_idx, r_idx = state.index_of(sender), state.index_of(reference)
-    grouped = qr.ncopy_state(state, n)
     other = [i for i in range(len(state.labels)) if i != s_idx]
-    op = qstate.reorder_subsystems(grouped.op, grouped.dims,
-                                   [s_idx] + other)
-    block = grouped.dims[s_idx]
-    rest_dims = [grouped.dims[i] for i in other]
-    d_ref = grouped.dims[r_idx]
+    dims = [d ** n for d in state.dims]
+    op = reorder_subsystems(_ncopy_op_reference(state, n), dims,
+                            [s_idx] + other)
+    block = dims[s_idx]
+    rest_dims = [dims[i] for i in other]
+    d_ref = dims[r_idx]
     if typical_delta is not None:
         proj = qr.typical_projection(state, sender, n, typical_delta)
         op = _conjugate_block(op, block, proj.projector)
@@ -287,12 +313,12 @@ def _operator_reference(state, sender, reference, n, grid, trials, seed,
                                    qr.haar_unitary(block, [seed, t]))
         for gi, nq in enumerate(nqs):
             d_a2 = block // 2 ** nq
-            joint = qstate.partial_trace_op(
+            joint = partial_trace_op(
                 rotated, [2 ** nq, d_a2] + rest_dims,
                 [1, 2 + other.index(r_idx)])
             product = np.kron(
-                qstate.partial_trace_op(joint, [d_a2, d_ref], [0]),
-                qstate.partial_trace_op(joint, [d_a2, d_ref], [1]))
+                partial_trace_op(joint, [d_a2, d_ref], [0]),
+                partial_trace_op(joint, [d_a2, d_ref], [1]))
             dists[gi, t] = qstate.trace_norm(joint - product) / 2.0
             fids[gi, t] = qstate.fidelity_ops(joint, product)
     return [(row.mean(), row.std(ddof=1) / math.sqrt(trials), fid.mean())

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 import qregion as qr
 from qregion import qstate as Q
 
-from helpers import (bell_with_spectator, ghz_state, random_mixture_state,
+from helpers import (bell_with_spectator, entropy_reference, ghz_state,
+                     partial_trace_op, random_mixture_state,
                      random_sender_state)
 
 
 def _entropy_reference(state, mask):
     """Operator path: partial trace of the dense op, then eigensolve."""
     idx = state.indices_of(mask)
-    return Q.entropy_of_op(Q.partial_trace_op(state.op, state.dims, idx))
+    return entropy_reference(partial_trace_op(state.op, state.dims, idx))
 
 
 def _purification_reference(state):
