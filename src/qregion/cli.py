@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -88,9 +89,12 @@ def _report_header(command: str, spec, digest: str, seed: int) -> dict:
 def _region_data(state, spec) -> tuple:
     rc = region.region_constants(state, spec.reference)
     vr = region.corner_set(rc)
-    for v in vr.vertices:
-        if region.membership(rc, v).verdict == "outside":
-            raise InternalCheckError(f"vertex {v.rates} fails membership")
+    # a vertex is outside when some subset sum falls below its bound
+    outside = (vr.arrays() @ rc.incidence.T
+               < rc.bounds - region.FEAS_TOL).any(axis=1)
+    if outside.any():
+        bad = vr.vertices[int(np.argmax(outside))]
+        raise InternalCheckError(f"vertex {bad.rates} fails membership")
     return rc, vr
 
 
@@ -250,7 +254,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="qregion",
         description="Rate regions for multiparty quantum distributed "

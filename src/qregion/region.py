@@ -13,6 +13,7 @@ saturated constraint systems, and optimizes linear costs greedily.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import warnings
@@ -27,14 +28,24 @@ from .qstate import MultipartyState
 
 FEAS_TOL = 1e-7
 DEDUP_TOL = 1e-6
-PIVOT_TOL = 1e-9
 
 MAX_ENUM_SENDERS = 5
 MAX_CORNER_SENDERS = 7
+#: bytes per stacked array in one block of ``enumerate_vertices``
+ENUM_BLOCK_BYTES = 4 << 20
 
 
 class RegionError(ValueError):
     """Invalid region arguments (bad permutation, costs, subsets, ...)."""
+
+
+def _check_tol(name: str, tol: float, positive: bool = False) -> None:
+    """Reject a tolerance that is not finite, is negative or, when
+    ``positive``, is zero: a NaN would make every comparison false."""
+    if not math.isfinite(tol) or tol < 0 or (positive and tol == 0):
+        raise RegionError(f"{name} must be finite and "
+                          f"{'positive' if positive else 'nonnegative'}, "
+                          f"got {tol!r}")
 
 
 def nonempty_subsets(senders: Sequence[str]) -> list[frozenset[str]]:
@@ -234,10 +245,12 @@ def corner_set(rc: RegionConstants, tol: float = DEDUP_TOL) -> VRegion:
     Permutations are visited in lexicographic label order, and a point
     within Chebyshev distance ``tol`` of an earlier kept one is dropped,
     so each retained point carries the lexicographically smallest
-    witness.
+    witness.  Only kept points whose first rate lies within ``2 tol`` of
+    the new point's are compared (a window found by bisection on the
+    sorted first rates); any point outside it differs by more than
+    ``tol`` in that rate alone.
     """
-    if tol <= 0:
-        raise RegionError("dedup tolerance must be positive")
+    _check_tol("tol", tol, positive=True)
     if rc.m > MAX_CORNER_SENDERS:
         raise RegionError(f"corner enumeration limited to m ≤ "
                           f"{MAX_CORNER_SENDERS} senders; this region has "
@@ -246,12 +259,20 @@ def corner_set(rc: RegionConstants, tol: float = DEDUP_TOL) -> VRegion:
         sorted(range(rc.m), key=rc.senders.__getitem__))))
     rates = _corner_rates(rc, perms)
     kept = []
-    for k, row in enumerate(rates):
-        if not kept or np.abs(rates[kept] - row).max(axis=1).min() > tol:
+    firsts, by_first = [], []  # kept first rates, sorted, and their rows
+    for k, first in enumerate(rates[:, 0].tolist()):
+        window = by_first[bisect.bisect_left(firsts, first - 2 * tol):
+                          bisect.bisect_right(firsts, first + 2 * tol)]
+        if (not window
+                or np.abs(rates[window] - rates[k]).max(axis=1).min() > tol):
             kept.append(k)
+            at = bisect.bisect_right(firsts, first)
+            firsts.insert(at, first)
+            by_first.insert(at, k)
+    rows, orders = rates.tolist(), perms.tolist()
     return VRegion(rc.senders, tuple(
-        RatePoint(rc.senders, tuple(rates[k].tolist()),
-                  witness=tuple(rc.senders[i] for i in perms[k]))
+        RatePoint(rc.senders, tuple(rows[k]),
+                  witness=tuple(rc.senders[i] for i in orders[k]))
         for k in kept))
 
 
@@ -260,6 +281,7 @@ def membership(rc: RegionConstants, q: RatePoint,
     """Classify a rate point against every subset-sum constraint."""
     if sorted(q.senders) != sorted(rc.senders):
         raise RegionError("rate point senders do not match the region")
+    _check_tol("tol", tol)
     totals, bounds, rows = rc.subset_sums(q), rc.bounds, rc.subsets
     below = totals < bounds - tol
     on = ~below & (np.abs(totals - bounds) <= tol)
@@ -291,24 +313,13 @@ def greedy_minimize(rc: RegionConstants,
     return pt, value
 
 
-def _row_rank(matrix: np.ndarray, tol: float = PIVOT_TOL) -> int:
-    """Row rank via Gaussian elimination with partial pivoting."""
-    a = np.array(matrix, dtype=float)
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank >= rows:
-            break
-        piv = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[piv, col]) <= tol:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank] /= a[rank, col]
-        for r in range(rows):
-            if r != rank and abs(a[r, col]) > tol:
-                a[r] -= a[r, col] * a[rank]
-        rank += 1
-    return rank
+def _independent(stack: np.ndarray) -> np.ndarray:
+    """Which square 0/1 matrices of a ``(..., m, m)`` stack are nonsingular.
+
+    The entries are 0 or 1, so every determinant is an integer and
+    ``|det| > 0.5`` is an exact rank test.
+    """
+    return np.abs(np.linalg.det(stack)) > 0.5
 
 
 def enumerate_vertices(rc: RegionConstants,
@@ -316,31 +327,53 @@ def enumerate_vertices(rc: RegionConstants,
                        dedup_tol: float = DEDUP_TOL) -> VRegion:
     """Brute-force vertex enumeration of the halfspace description.
 
-    Solves every m-subset of constraints with independent indicator
-    rows and keeps the solutions feasible for all constraints.  Each
-    vertex is witnessed by the permutation of the maximal chain
-    reconstructed from its saturated system.
+    Every m-subset of canonical rows, in ``itertools.combinations``
+    order, is a candidate system.  Those with independent indicator rows
+    are solved in one stacked ``solve``, and a solution is feasible when
+    one product ``x @ rc.incidence.T`` meets every bound within
+    ``feas_tol``.  A feasible solution within Chebyshev distance
+    ``dedup_tol`` of an earlier kept vertex is dropped, so each vertex
+    keeps its first system, whose maximal chain (``reconstruct_chain``)
+    gives the witness.  The combinations run in blocks of at most
+    ``ENUM_BLOCK_BYTES`` per stacked array; the output does not depend
+    on the block size.
     """
     m = rc.m
     if m > MAX_ENUM_SENDERS:
         raise RegionError(f"vertex enumeration limited to m ≤ "
                           f"{MAX_ENUM_SENDERS} senders")
+    _check_tol("feas_tol", feas_tol)
+    _check_tol("dedup_tol", dedup_tol, positive=True)
     rows, incidence, bounds = rc.subsets, rc.incidence, rc.bounds
-    kept: list[RatePoint] = []
-    for combo in map(list, itertools.combinations(range(len(rows)), m)):
-        a = incidence[combo]
-        if _row_rank(a) < m:
-            continue
-        x = np.linalg.solve(a, bounds[combo])
-        if not np.all(incidence @ x >= bounds - feas_tol):
-            continue
-        if any(np.max(np.abs(x - k.as_array())) <= dedup_tol for k in kept):
-            continue
+    floor = bounds - feas_tol
+    block = max(1, ENUM_BLOCK_BYTES // (8 * max(m * m, len(rows))))
+    combos = itertools.combinations(range(len(rows)), m)
+    kept: list[np.ndarray] = []
+    kept_combos: list[np.ndarray] = []
+    while len(idx := np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, block)),
+            dtype=np.intp).reshape(-1, m)):
+        idx = idx[_independent(incidence[idx])]
+        x = np.linalg.solve(incidence[idx], bounds[idx][..., None])[..., 0]
+        feasible = (x @ incidence.T >= floor).all(axis=1)
+        idx, x = idx[feasible], x[feasible]
+        # first-come dedup: drop what lies near a kept vertex, then keep
+        # the first survivor and drop what lies near it, and so on
+        for vertex in kept:
+            near = np.abs(x - vertex).max(axis=1) <= dedup_tol
+            idx, x = idx[~near], x[~near]
+        while len(x):
+            kept.append(x[0])
+            kept_combos.append(idx[0])
+            near = np.abs(x - x[0]).max(axis=1) <= dedup_tol
+            idx, x = idx[~near], x[~near]
+    out = []
+    for vertex, combo in zip(kept, kept_combos):
         chain = reconstruct_chain(
             SaturatedSystem(rc.senders, tuple(rows[r] for r in combo)))
-        kept.append(RatePoint(rc.senders, tuple(float(v) for v in x),
-                              witness=chain.permutation))
-    return VRegion(rc.senders, tuple(kept))
+        out.append(RatePoint(rc.senders, tuple(vertex.tolist()),
+                             witness=chain.permutation))
+    return VRegion(rc.senders, tuple(out))
 
 
 def reconstruct_chain(sys: SaturatedSystem) -> ChainFamily:
@@ -356,7 +389,7 @@ def reconstruct_chain(sys: SaturatedSystem) -> ChainFamily:
     m = len(senders)
     if len(sys.sets) != m:
         raise RegionError(f"expected {m} sets, got {len(sys.sets)}")
-    if _row_rank(sys.indicator_matrix()) < m:
+    if not _independent(sys.indicator_matrix()):
         raise RegionError("indicator rows are linearly dependent")
 
     edges = {j: set() for j in senders}
@@ -415,6 +448,7 @@ def check_supermodular(rc: RegionConstants, tol: float = FEAS_TOL) \
     quantum state always pass (the inequality is strong subadditivity
     in disguise).
     """
+    _check_tol("tol", tol)
     i, j = np.triu_indices(len(rc.masks))  # combinations_with_replacement
     k, l = rc.masks[i], rc.masks[j]
     lhs = rc.table[k | l] + rc.table[k & l]

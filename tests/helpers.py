@@ -1,9 +1,11 @@
 """Shared state builders and reference kernels for the test suite."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from qregion import build_state, qstate, random_pure_state
+from qregion import build_state, qstate, random_pure_state, region
 from qregion.statespec import BranchSpec, StateSpec
 
 
@@ -137,3 +139,65 @@ def cond_info_reference(psi, x_dims, groups, iso, d_e, d_g):
         marg = vector_marginal_reference(vec, dims, list(group) + [e_ax])
         total += entropy_reference(marg)
     return total - h_xe - (len(groups) - 1) * h_e
+
+
+# ---------------------------------------------------------------------------
+# region references: the loop vertex enumeration and corner dedup that the
+# batched and windowed versions in qregion.region replaced
+
+def _row_rank(matrix, tol=1e-9):
+    """Row rank via Gaussian elimination with partial pivoting."""
+    a = np.array(matrix, dtype=float)
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        if rank >= rows:
+            break
+        piv = rank + int(np.argmax(np.abs(a[rank:, col])))
+        if abs(a[piv, col]) <= tol:
+            continue
+        a[[rank, piv]] = a[[piv, rank]]
+        a[rank] /= a[rank, col]
+        for r in range(rows):
+            if r != rank and abs(a[r, col]) > tol:
+                a[r] -= a[r, col] * a[rank]
+        rank += 1
+    return rank
+
+
+def enumerate_vertices_reference(rc, feas_tol=region.FEAS_TOL,
+                                 dedup_tol=region.DEDUP_TOL):
+    """One m-subset of constraints at a time: rank test, solve,
+    feasibility, first-come dedup, then the witness chain."""
+    m = rc.m
+    rows, incidence, bounds = rc.subsets, rc.incidence, rc.bounds
+    kept = []
+    for combo in map(list, itertools.combinations(range(len(rows)), m)):
+        a = incidence[combo]
+        if _row_rank(a) < m:
+            continue
+        x = np.linalg.solve(a, bounds[combo])
+        if not np.all(incidence @ x >= bounds - feas_tol):
+            continue
+        if any(np.max(np.abs(x - k.as_array())) <= dedup_tol for k in kept):
+            continue
+        chain = region.reconstruct_chain(
+            region.SaturatedSystem(rc.senders, tuple(rows[r] for r in combo)))
+        kept.append(region.RatePoint(rc.senders, tuple(float(v) for v in x),
+                                     witness=chain.permutation))
+    return region.VRegion(rc.senders, tuple(kept))
+
+
+def corner_set_reference(rc, tol=region.DEDUP_TOL):
+    """Corner dedup that compares each point with every kept point."""
+    perms = np.array(list(itertools.permutations(
+        sorted(range(rc.m), key=rc.senders.__getitem__))))
+    rates = region._corner_rates(rc, perms)
+    kept = []
+    for k, row in enumerate(rates):
+        if not kept or np.abs(rates[kept] - row).max(axis=1).min() > tol:
+            kept.append(k)
+    return region.VRegion(rc.senders, tuple(
+        region.RatePoint(rc.senders, tuple(rates[k].tolist()),
+                         witness=tuple(rc.senders[i] for i in perms[k]))
+        for k in kept))

@@ -19,7 +19,7 @@ from qregion.hrep import export_h_representation, parse_h_representation
 from qregion.region import (RatePoint, RegionConstants, SaturatedSystem,
                             nonempty_subsets)
 
-from helpers import (bell_between_senders, bell_state, ghz_state,
+from helpers import (_row_rank, bell_between_senders, bell_state, ghz_state,
                      product_state, random_mixture_state,
                      random_sender_state)
 
@@ -59,6 +59,12 @@ def _m3_duality_rcs():
 def _m4_duality_rcs():
     return tuple(qr.region_constants(random_sender_state(4, 1000 + i), "R")
                  for i in range(20))
+
+
+@lru_cache(maxsize=None)
+def _m5_duality_rcs():
+    return tuple(qr.region_constants(
+        random_sender_state(5, 1500 + i, d_ref=4), "R") for i in range(3))
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +115,7 @@ def _check_duality(rc):
         found = False
         for combo in itertools.combinations(tight, rc.m):
             sys = SaturatedSystem(rc.senders, combo)
-            if qr.region._row_rank(sys.indicator_matrix()) < rc.m:
+            if _row_rank(sys.indicator_matrix()) < rc.m:
                 continue
             chain = qr.reconstruct_chain(sys)
             for l, subset in enumerate(chain.sets, start=1):
@@ -125,10 +131,12 @@ def _check_duality(rc):
 
 
 def test_criterion_03_vertex_corner_duality():
-    with criterion(3, "vertex/corner duality (m = 3, 4)", 120.0):
+    with criterion(3, "vertex/corner duality (m = 3, 4, 5)", 120.0):
         for rc in _m3_duality_rcs():
             _check_duality(rc)
         for rc in _m4_duality_rcs():
+            _check_duality(rc)
+        for rc in _m5_duality_rcs():
             _check_duality(rc)
 
 

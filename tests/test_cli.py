@@ -192,6 +192,26 @@ def test_report_vertices_pass_membership(tmp_path, ghz_spec_file):
         assert verdict in ("boundary", "inside")
 
 
+def test_region_command_names_the_first_vertex_outside(
+        tmp_path, ghz_spec_file, monkeypatch, capsys):
+    real = qr.region.corner_set
+
+    def with_bad_vertices(rc):
+        vr = real(rc)
+        bad = [qr.RatePoint(rc.senders, (0.25, 0.5)),
+               qr.RatePoint(rc.senders, (0.125, 0.5))]
+        return qr.VRegion(rc.senders, vr.vertices[:1] + tuple(bad)
+                          + vr.vertices[1:])
+
+    monkeypatch.setattr(qr.region, "corner_set", with_bad_vertices)
+    code = run_command(["region", "--state", str(ghz_spec_file),
+                        "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "vertex (0.25, 0.5) fails membership" in err
+    assert "0.125" not in err
+
+
 def _mixture_text(spec) -> str:
     branches = [{"weight": br.weight,
                  "kets": [[[float(a.real), float(a.imag)] for a in ket]

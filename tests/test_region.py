@@ -1,16 +1,19 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import qregion as qr
+from qregion import region
 from qregion.region import (DEDUP_TOL, FEAS_TOL, RatePoint,
                             RegionConstants, RegionError, SaturatedSystem,
                             nonempty_subsets)
 from qregion.statespec import StateSpec
 
-from helpers import (bell_between_senders, bell_with_spectator, ghz_state,
-                     product_state, random_sender_state)
+from helpers import (_row_rank, bell_between_senders, bell_with_spectator,
+                     corner_set_reference, enumerate_vertices_reference,
+                     ghz_state, product_state, random_sender_state)
 
 
 def fs(*labels):
@@ -326,6 +329,8 @@ def _equivalence_cases():
     yield "near ties", RegionConstants(senders, "R", {
         s: 0.5 * len(s) + float(rng.uniform(0, 3 * DEDUP_TOL))
         for s in nonempty_subsets(senders)})
+    yield "ghz m=4", qr.region_constants(
+        ghz_state(("A1", "A2", "A3", "A4", "R")), "R")
 
 
 @pytest.mark.filterwarnings("ignore:input state is not pure")
@@ -352,3 +357,86 @@ def test_bitmask_core_matches_frozenset_reference():
 
         assert qr.check_supermodular(rc) \
             == _reference_check_supermodular(rc), name
+
+
+# Batched vertex enumeration and windowed corner dedup against the loop
+# references in helpers: same values, witnesses and order, bit for bit.
+
+def _same_vregion(got, want):
+    return (np.array_equal(got.arrays(), want.arrays())
+            and [v.witness for v in got.vertices]
+            == [v.witness for v in want.vertices])
+
+
+@pytest.mark.filterwarnings("ignore:input state is not pure")
+def test_enumerate_vertices_matches_loop_reference():
+    for name, rc in _equivalence_cases():
+        if rc.m <= region.MAX_ENUM_SENDERS:
+            got = qr.enumerate_vertices(rc)
+            assert _same_vregion(got, enumerate_vertices_reference(rc)), name
+
+
+@pytest.mark.filterwarnings("ignore:input state is not pure")
+def test_windowed_corner_set_matches_full_scan():
+    cases = list(_equivalence_cases())
+    cases.append(("random m=7", qr.region_constants(
+        random_sender_state(7, 3007, d_ref=2), "R")))
+    # first rates shared by many corners, so windows are wide
+    cases.append(("zero m=5", zero_constants(5)))
+    for name, rc in cases:
+        for tol in (DEDUP_TOL, 1e-2):
+            got = qr.corner_set(rc, tol=tol)
+            assert _same_vregion(got, corner_set_reference(rc, tol)), name
+
+
+def test_independent_matches_row_rank():
+    for m in range(1, 5):
+        rc = zero_constants(m)
+        combos = np.array(list(itertools.combinations(
+            range(len(rc.subsets)), m)))
+        stack = rc.incidence[combos]
+        want = [_row_rank(a) == m for a in stack]
+        assert region._independent(stack).tolist() == want, m
+
+
+@pytest.mark.filterwarnings("ignore:input state is not pure")
+def test_enumerate_vertices_block_size_does_not_change_output(monkeypatch):
+    cases = [(name, rc) for name, rc in _equivalence_cases() if rc.m <= 4]
+    want = [qr.enumerate_vertices(rc) for _, rc in cases]
+    # one system per block, then a few blocks per call
+    for cap in (1, 8 * 16 * 100):
+        monkeypatch.setattr(region, "ENUM_BLOCK_BYTES", cap)
+        for (name, rc), ref in zip(cases, want):
+            assert _same_vregion(qr.enumerate_vertices(rc), ref), (cap, name)
+
+
+BAD_TOLS = [math.nan, math.inf, -1e-9]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS + [0.0])
+def test_corner_set_rejects_bad_tolerance(tol):
+    with pytest.raises(RegionError, match="tol must be finite and positive"):
+        qr.corner_set(GHZ_RC, tol=tol)
+
+
+@pytest.mark.parametrize("field", ["feas_tol", "dedup_tol"])
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_enumerate_vertices_rejects_bad_tolerance(field, tol):
+    with pytest.raises(RegionError, match=f"{field} must be finite"):
+        qr.enumerate_vertices(GHZ_RC, **{field: tol})
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_membership_rejects_bad_tolerance(tol):
+    q = RatePoint(GHZ_RC.senders, (2.0, 2.0))
+    with pytest.raises(RegionError, match="tol must be finite"):
+        qr.membership(GHZ_RC, q, tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_check_supermodular_rejects_bad_tolerance(tol):
+    bad = RegionConstants(("A1", "A2"), "R",
+                          {fs("A1"): 1.0, fs("A2"): 1.0,
+                           fs("A1", "A2"): 1.0})
+    with pytest.raises(RegionError, match="tol must be finite"):
+        qr.check_supermodular(bad, tol=tol)
