@@ -201,7 +201,7 @@ def _esq_fields(state, rc, args) -> tuple[dict, dict]:
     outer = esq.outer_bound_constants(rc, raw)
     return {"inner_constants": _constants_field(rc.c),
             "esq_estimates": estimates,
-            "outer_constants": _constants_field(outer)}, outer
+            "outer_constants": _constants_field(outer.c)}, outer
 
 
 def _cmd_esq(args) -> int:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import qstate
+from . import qstate, region
 from .qstate import MultipartyState
 from .region import RatePoint, RegionConstants
 
@@ -343,7 +343,7 @@ def esq_upper_bound(state: MultipartyState,
 
 def outer_bound_constants(inner: RegionConstants,
                           esq: Mapping[frozenset, "EsqEstimate"]) \
-        -> dict[frozenset, float]:
+        -> RegionConstants:
     """Necessary-condition constants C_K - E_sq(K) per sender subset.
 
     Singletons equal the inner constants exactly (one-part conditional
@@ -357,23 +357,20 @@ def outer_bound_constants(inner: RegionConstants,
         raise EsqError(f"missing squashed-entanglement estimate for "
                        f"{missing[0]}")
     squashed = [esq[s].value if len(s) > 1 else 0.0 for s in inner.subsets]
-    return dict(zip(inner.subsets, (inner.bounds - squashed).tolist()))
+    return RegionConstants(inner.senders, inner.reference, dict(
+        zip(inner.subsets, (inner.bounds - squashed).tolist())))
 
 
 def classify_rate_point(q: RatePoint, inner: RegionConstants,
-                        outer: Mapping[frozenset, float],
-                        tol: float = 1e-9) -> str:
-    """``achievable`` | ``gap`` | ``not_achievable`` for a rate tuple.
-
-    The verdict is conservative: "not_achievable" is always sound,
-    while "gap" may contain points ruled out by the exact outer bound.
+                        outer: RegionConstants) -> str:
+    """``achievable`` (not outside ``inner``) | ``not_achievable`` (outside
+    ``outer``) | ``gap``, by ``membership``.  The outer constants never
+    exceed the inner ones, so "not_achievable" is always sound, while
+    "gap" may contain points ruled out by the exact outer bound.
     """
-    outer = {frozenset(k): float(v) for k, v in outer.items()}
-    totals = inner.subset_sums(q)
-    if np.all(totals >= inner.bounds - tol):
+    if region.membership(inner, q).verdict != "outside":
         return "achievable"
-    outer_bounds = np.array([outer.get(s, -np.inf) for s in inner.subsets])
-    if np.any(totals < outer_bounds - tol):
+    if region.membership(outer, q).verdict == "outside":
         return "not_achievable"
     return "gap"
 

@@ -10,6 +10,7 @@ one call.  All entropies are in bits.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -121,7 +122,7 @@ class _Ket:
         self.vec = vec
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MultipartyState:
     """Labeled density operator with optional mixture provenance.
 
@@ -134,20 +135,21 @@ class MultipartyState:
     the eigenvectors above ``EIG_CUTOFF``, by descending eigenvalue,
     scaled by sqrt(eigenvalue).  It is set here, by the one eigensolve
     of an operator input, or as the single column of a vector input.
+    ``op`` (read-only) is an operator input's validated copy; a vector
+    input stores only ``psi`` and forms ``op`` on its first read.
     """
 
     labels: tuple[str, ...]
     dims: tuple[int, ...]
-    op: np.ndarray
-    provenance: tuple[MixtureBranch, ...] | None = field(
-        default=None, repr=False)
-    psi: np.ndarray = field(init=False, repr=False)
+    provenance: tuple[MixtureBranch, ...] | None = field(repr=False)
+    psi: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(self, labels, dims, op, provenance=None):
+        labels = tuple(labels)
+        dims = tuple(int(d) for d in dims)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "provenance", provenance)
         if len(labels) != len(dims):
             raise StateError("labels and dims length mismatch")
         if len(set(labels)) != len(labels):
@@ -157,14 +159,13 @@ class MultipartyState:
         d = int(np.prod(dims))
         if d > MAX_TOTAL_DIM:
             raise StateError(f"total dimension {d} exceeds cap {MAX_TOTAL_DIM}")
-        if isinstance(self.op, _Ket):
-            psi = self.op.vec.reshape(-1, 1)
+        if isinstance(op, _Ket):
+            psi = op.vec.reshape(-1, 1)
             n = psi.shape[0]
             if n != d:
                 raise StateError(f"operator shape ({n}, {n}) ≠ ({d}, {d})")
-            op = np.outer(psi, psi.conj())
         else:
-            op = np.asarray(self.op, dtype=complex)
+            op = np.asarray(op, dtype=complex)
             if op.shape != (d, d):
                 raise StateError(f"operator shape {op.shape} ≠ ({d}, {d})")
             if not np.isfinite(op).all():
@@ -181,17 +182,26 @@ class MultipartyState:
             keep = order[ev[order] > EIG_CUTOFF]
             psi = vecs[:, keep] * np.sqrt(ev[keep])
             op = op.copy()
-        for name, arr in (("op", op), ("psi", psi)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.provenance is not None:
-            rebuilt = np.zeros_like(op)
+            op.flags.writeable = False
+            self.__dict__["op"] = op  # fills the cache of the ``op`` property
+        psi.flags.writeable = False
+        object.__setattr__(self, "psi", psi)
+        if self.provenance is not None:  # a vector input's op is not kept
+            full = np.outer(psi, psi.conj()) if isinstance(op, _Ket) else op
+            rebuilt = np.zeros_like(full)
             for br in self.provenance:
                 ket = kron_all([np.asarray(k, dtype=complex)
                                 for k in br.kets])
                 rebuilt = rebuilt + br.weight * np.outer(ket, ket.conj())
-            if np.abs(rebuilt - op).max() > _STATE_TOL:
+            if np.abs(rebuilt - full).max() > _STATE_TOL:
                 raise StateError("provenance does not reproduce the operator")
+
+    @functools.cached_property
+    def op(self) -> np.ndarray:
+        """|psi><psi| of a vector input, formed on the first read."""
+        op = np.outer(self.psi, self.psi.conj())
+        op.flags.writeable = False
+        return op
 
     @property
     def dim(self) -> int:

@@ -39,15 +39,6 @@ class RegionError(ValueError):
     """Invalid region arguments (bad permutation, costs, subsets, ...)."""
 
 
-def _check_tol(name: str, tol: float, positive: bool = False) -> None:
-    """Reject a tolerance that is not finite, is negative or, when
-    ``positive``, is zero: a NaN would make every comparison false."""
-    if not math.isfinite(tol) or tol < 0 or (positive and tol == 0):
-        raise RegionError(f"{name} must be finite and "
-                          f"{'positive' if positive else 'nonnegative'}, "
-                          f"got {tol!r}")
-
-
 def nonempty_subsets(senders: Sequence[str]) -> list[frozenset[str]]:
     """All nonempty sender subsets, ordered by (size, lexicographic)."""
     return [frozenset(combo) for r in range(1, len(senders) + 1)
@@ -62,7 +53,8 @@ def _incidence(senders: Sequence[str], sets) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RegionConstants:
-    """The bound C_K (bits) for every nonempty sender subset K.
+    """The bound C_K (bits) for every nonempty sender subset K, inner or
+    outer (C_K - E_sq(K), from ``esq.outer_bound_constants``).
 
     A subset is a bitmask whose bit i stands for ``senders[i]``, and
     ``table[mask]`` is its C_K (entry 0, the empty set, is 0.0).  The
@@ -117,10 +109,6 @@ class RegionConstants:
     def m(self) -> int:
         return len(self.senders)
 
-    def subset_sums(self, q: "RatePoint") -> np.ndarray:
-        """sum_{k in K} Q_k per canonical row."""
-        return self.incidence @ np.array([q.rate(lab) for lab in self.senders])
-
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -133,7 +121,7 @@ class RatePoint:
     def __post_init__(self):
         if len(self.rates) != len(self.senders):
             raise RegionError("one rate per sender required")
-        if not all(np.isfinite(self.rates)):
+        if not all(map(math.isfinite, self.rates)):
             raise RegionError("rates must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -239,18 +227,17 @@ def corner_point(rc: RegionConstants, perm: Sequence[str]) -> RatePoint:
     return RatePoint(rc.senders, tuple(rates), witness=tuple(perm))
 
 
-def corner_set(rc: RegionConstants, tol: float = DEDUP_TOL) -> VRegion:
+def corner_set(rc: RegionConstants) -> VRegion:
     """All corner points over the m! permutations, deduplicated.
 
     Permutations are visited in lexicographic label order, and a point
-    within Chebyshev distance ``tol`` of an earlier kept one is dropped,
-    so each retained point carries the lexicographically smallest
-    witness.  Only kept points whose first rate lies within ``2 tol`` of
-    the new point's are compared (a window found by bisection on the
-    sorted first rates); any point outside it differs by more than
-    ``tol`` in that rate alone.
+    within Chebyshev distance ``DEDUP_TOL`` of an earlier kept one is
+    dropped, so each retained point carries the lexicographically
+    smallest witness.  Only kept points whose first rate lies within
+    ``2 DEDUP_TOL`` of the new point's are compared (a window found by
+    bisection on the sorted first rates); any point outside it differs
+    by more than ``DEDUP_TOL`` in that rate alone.
     """
-    _check_tol("tol", tol, positive=True)
     if rc.m > MAX_CORNER_SENDERS:
         raise RegionError(f"corner enumeration limited to m ≤ "
                           f"{MAX_CORNER_SENDERS} senders; this region has "
@@ -258,6 +245,7 @@ def corner_set(rc: RegionConstants, tol: float = DEDUP_TOL) -> VRegion:
     perms = np.array(list(itertools.permutations(
         sorted(range(rc.m), key=rc.senders.__getitem__))))
     rates = _corner_rates(rc, perms)
+    tol = DEDUP_TOL
     kept = []
     firsts, by_first = [], []  # kept first rates, sorted, and their rows
     for k, first in enumerate(rates[:, 0].tolist()):
@@ -276,17 +264,15 @@ def corner_set(rc: RegionConstants, tol: float = DEDUP_TOL) -> VRegion:
         for k in kept))
 
 
-def membership(rc: RegionConstants, q: RatePoint,
-               tol: float = FEAS_TOL) -> Membership:
-    """Classify a rate point against every subset-sum constraint."""
+def membership(rc: RegionConstants, q: RatePoint) -> Membership:
+    """Classify a rate point against every constraint at ``FEAS_TOL``."""
     if sorted(q.senders) != sorted(rc.senders):
         raise RegionError("rate point senders do not match the region")
-    _check_tol("tol", tol)
-    totals, bounds, rows = rc.subset_sums(q), rc.bounds, rc.subsets
-    below = totals < bounds - tol
-    on = ~below & (np.abs(totals - bounds) <= tol)
-    violated = tuple(rows[r] for r in np.flatnonzero(below))
-    tight = tuple(rows[r] for r in np.flatnonzero(on))
+    totals = rc.incidence @ np.array([q.rate(lab) for lab in rc.senders])
+    below = totals < rc.bounds - FEAS_TOL
+    on = ~below & (np.abs(totals - rc.bounds) <= FEAS_TOL)
+    violated = tuple(rc.subsets[r] for r in np.flatnonzero(below))
+    tight = tuple(rc.subsets[r] for r in np.flatnonzero(on))
     verdict = "outside" if violated else "boundary" if tight else "inside"
     return Membership(verdict, violated, tight)
 
@@ -322,17 +308,15 @@ def _independent(stack: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(stack)) > 0.5
 
 
-def enumerate_vertices(rc: RegionConstants,
-                       feas_tol: float = FEAS_TOL,
-                       dedup_tol: float = DEDUP_TOL) -> VRegion:
+def enumerate_vertices(rc: RegionConstants) -> VRegion:
     """Brute-force vertex enumeration of the halfspace description.
 
     Every m-subset of canonical rows, in ``itertools.combinations``
     order, is a candidate system.  Those with independent indicator rows
     are solved in one stacked ``solve``, and a solution is feasible when
     one product ``x @ rc.incidence.T`` meets every bound within
-    ``feas_tol``.  A feasible solution within Chebyshev distance
-    ``dedup_tol`` of an earlier kept vertex is dropped, so each vertex
+    ``FEAS_TOL``.  A feasible solution within Chebyshev distance
+    ``DEDUP_TOL`` of an earlier kept vertex is dropped, so each vertex
     keeps its first system, whose maximal chain (``reconstruct_chain``)
     gives the witness.  The combinations run in blocks of at most
     ``ENUM_BLOCK_BYTES`` per stacked array; the output does not depend
@@ -342,10 +326,8 @@ def enumerate_vertices(rc: RegionConstants,
     if m > MAX_ENUM_SENDERS:
         raise RegionError(f"vertex enumeration limited to m ≤ "
                           f"{MAX_ENUM_SENDERS} senders")
-    _check_tol("feas_tol", feas_tol)
-    _check_tol("dedup_tol", dedup_tol, positive=True)
     rows, incidence, bounds = rc.subsets, rc.incidence, rc.bounds
-    floor = bounds - feas_tol
+    floor = bounds - FEAS_TOL
     block = max(1, ENUM_BLOCK_BYTES // (8 * max(m * m, len(rows))))
     combos = itertools.combinations(range(len(rows)), m)
     kept: list[np.ndarray] = []
@@ -360,12 +342,12 @@ def enumerate_vertices(rc: RegionConstants,
         # first-come dedup: drop what lies near a kept vertex, then keep
         # the first survivor and drop what lies near it, and so on
         for vertex in kept:
-            near = np.abs(x - vertex).max(axis=1) <= dedup_tol
+            near = np.abs(x - vertex).max(axis=1) <= DEDUP_TOL
             idx, x = idx[~near], x[~near]
         while len(x):
             kept.append(x[0])
             kept_combos.append(idx[0])
-            near = np.abs(x - x[0]).max(axis=1) <= dedup_tol
+            near = np.abs(x - x[0]).max(axis=1) <= DEDUP_TOL
             idx, x = idx[~near], x[~near]
     out = []
     for vertex, combo in zip(kept, kept_combos):
@@ -439,19 +421,18 @@ class InternalCheckError(RuntimeError):
     """An internal consistency invariant failed (should be unreachable)."""
 
 
-def check_supermodular(rc: RegionConstants, tol: float = FEAS_TOL) \
+def check_supermodular(rc: RegionConstants) \
         -> list[tuple[frozenset[str], frozenset[str], float]]:
     """Test C_{K u L} + C_{K n L} >= C_K + C_L over all subset pairs.
 
     Returns the list of violating (K, L, deficit) triples; empty means
-    the map is supermodular within ``tol``.  Constants derived from a
+    the map is supermodular within ``FEAS_TOL``.  Constants derived from a
     quantum state always pass (the inequality is strong subadditivity
     in disguise).
     """
-    _check_tol("tol", tol)
     i, j = np.triu_indices(len(rc.masks))  # combinations_with_replacement
     k, l = rc.masks[i], rc.masks[j]
     lhs = rc.table[k | l] + rc.table[k & l]
     rhs = rc.table[k] + rc.table[l]
     return [(rc.subsets[i[p]], rc.subsets[j[p]], float(rhs[p] - lhs[p]))
-            for p in np.flatnonzero(lhs < rhs - tol)]
+            for p in np.flatnonzero(lhs < rhs - FEAS_TOL)]

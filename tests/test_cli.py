@@ -137,6 +137,22 @@ def test_classify_command_verdicts(tmp_path, ghz_spec_file, capsys):
     assert json.loads(out2.read_text())["verdict"] == "gap"
 
 
+def test_classify_verdict_agrees_with_inner_membership(tmp_path, capsys):
+    # every C_K of the product state is 0: the point is within FEAS_TOL
+    spec = tmp_path / "prod.spec"
+    spec.write_text("{family: product, labels: [A1, A2, R], dims: [2, 2, 2], "
+                    "basis: '000', reference: R}\n")
+    out = tmp_path / "cls.json"
+    assert run_command(["classify", "--state", str(spec), "--out", str(out),
+                        "--point=-5e-8,0", "--d-e-max", "2",
+                        "--restarts", "2"]) == 0
+    report = json.loads(out.read_text())
+    assert report["inner_membership"] == "boundary"
+    assert report["violated_inner"] == []
+    assert report["verdict"] == "achievable"
+    assert capsys.readouterr().out.strip() == "achievable"
+
+
 def test_simulate_command_csv(tmp_path, ghz_spec_file):
     bell_file = tmp_path / "bell.spec"
     bell_file.write_text("{family: bell, labels: [A, R], dims: [2, 2], "

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qregion as qr
 from qregion import esq as E
@@ -146,7 +148,7 @@ def test_outer_bound_constants_examples():
     marg = qr.reduced_state(g, {"A1", "A2"})
     est = qr.esq_upper_bound(marg, [{"A1"}, {"A2"}], SMALL)
     outer = qr.outer_bound_constants(rc, {frozenset({"A1", "A2"}): est})
-    for subset, val in outer.items():
+    for subset, val in outer.c.items():
         assert val <= rc.value(subset) + 1e-12
         assert abs(val - rc.value(subset)) <= 1e-6  # ghz outer = inner
 
@@ -155,7 +157,7 @@ def test_outer_bound_constants_examples():
     m12 = qr.reduced_state(sb, {"A1", "A2"})
     est2 = qr.esq_upper_bound(m12, [{"A1"}, {"A2"}], SMALL)
     outer2 = qr.outer_bound_constants(rc2, {frozenset({"A1", "A2"}): est2})
-    assert outer2[frozenset({"A1", "A2"})] == pytest.approx(0.0, abs=1e-6)
+    assert outer2.value({"A1", "A2"}) == pytest.approx(0.0, abs=1e-6)
 
     with pytest.raises(EsqError):
         qr.outer_bound_constants(rc, {})
@@ -167,8 +169,8 @@ def test_outer_singletons_equal_inner():
     est = qr.esq_upper_bound(qr.reduced_state(g, {"A1", "A2"}),
                              [{"A1"}, {"A2"}], SMALL)
     outer = qr.outer_bound_constants(rc, {frozenset({"A1", "A2"}): est})
-    assert outer[frozenset({"A1"})] == rc.value({"A1"})
-    assert outer[frozenset({"A2"})] == rc.value({"A2"})
+    assert outer.value({"A1"}) == rc.value({"A1"})
+    assert outer.value({"A2"}) == rc.value({"A2"})
 
 
 def _ghz_outer():
@@ -193,6 +195,47 @@ def test_classify_examples():
     outer2 = qr.outer_bound_constants(rc2, {frozenset({"A1", "A2"}): est2})
     assert qr.classify_rate_point(RatePoint(rc2.senders, (0.2, 0.2)),
                                   rc2, outer2) == "gap"
+
+
+def test_classify_agrees_with_inner_membership_near_a_bound():
+    # every C_K of the product state is 0: the point is within FEAS_TOL
+    prod = product_state()
+    rc = qr.region_constants(prod, "R")
+    est = qr.esq_upper_bound(qr.reduced_state(prod, {"A1", "A2"}),
+                             [{"A1"}, {"A2"}], SMALL)
+    outer = qr.outer_bound_constants(rc, {frozenset({"A1", "A2"}): est})
+    q = RatePoint(rc.senders, (-5e-8, 0.0))
+    assert qr.membership(rc, q).verdict == "boundary"
+    assert qr.classify_rate_point(q, rc, outer) == "achievable"
+
+
+def _two_sender_bounds(seed):
+    state = qr.random_pure_state(("A1", "A2", "R"), (2, 2, 4), seed)
+    rc = qr.region_constants(state, "R")
+    est = qr.esq_upper_bound(qr.reduced_state(state, {"A1", "A2"}),
+                             [{"A1"}, {"A2"}],
+                             EsqBudget(d_e_values=(1, 2), restarts=1,
+                                       iterations=1, seed=seed))
+    return rc, qr.outer_bound_constants(rc, {frozenset({"A1", "A2"}): est})
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), delta=st.floats(0.0, 3e-7),
+       corner=st.integers(0, 1), sender=st.integers(0, 1),
+       rates=st.tuples(st.floats(-0.5, 2.0), st.floats(-0.5, 2.0)))
+def test_classify_verdicts_are_sound(seed, delta, corner, sender, rates):
+    rc, outer = _two_sender_bounds(seed)
+    vertices = qr.corner_set(rc).vertices
+    near = list(vertices[corner % len(vertices)].rates)
+    near[sender] -= delta
+    for point in (rates, tuple(near)):
+        q = RatePoint(rc.senders, point)
+        verdict = qr.classify_rate_point(q, rc, outer)
+        inner = qr.membership(rc, q).verdict
+        assert (verdict == "achievable") == (inner != "outside"), point
+        if verdict == "not_achievable":
+            assert inner == "outside", point
+            assert qr.membership(outer, q).verdict == "outside", point
 
 
 def test_subadditivity_smoke_two_bells():

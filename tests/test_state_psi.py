@@ -1,6 +1,7 @@
 """The stored purification ``psi`` against the dense-operator recipes it
 replaced: entropies from the smaller side, one eigensolve per state."""
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,29 @@ def test_vector_input_keeps_its_vector():
     assert np.array_equal(state.psi[:, 0], vec / 5)
     assert np.array_equal(state.op, np.outer(vec / 5, (vec / 5).conj()))
     assert state.purity() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_vector_input_forms_op_once_on_first_read():
+    state = random_sender_state(3, 5, d_ref=2)
+    assert "op" not in vars(state)
+    op = state.op
+    assert np.array_equal(op, np.outer(state.psi, state.psi.conj()))
+    assert not op.flags.writeable
+    assert state.op is op
+
+
+def test_pure_state_region_and_greedy_form_no_operator():
+    # eleven qubit senders and a qubit reference: a dense op is 256 MiB
+    tracemalloc.start()
+    try:
+        state = random_sender_state(11, 11, d_ref=2)
+        rc = qr.region_constants(state, "R")
+        qr.greedy_minimize(rc, range(1, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert "op" not in vars(state)
 
 
 @pytest.fixture
