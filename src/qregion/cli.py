@@ -2,9 +2,9 @@
 
 Subcommands: region | corners | greedy | esq | classify | simulate.
 Each takes --state (a state-spec file), --out (the report or CSV path)
-and --seed; randomized outputs are reproducible from the seed.  Exit
-codes: 0 success, 2 validation error (diagnostic on stderr), 3 internal
-invariant violation.
+and --seed (nonnegative); randomized outputs are reproducible from the
+seed.  Exit codes: 0 success, 2 validation error (diagnostic on
+stderr), 3 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,10 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, esq, hrep, qstate, region, sim
-from .esq import EsqBudget, EsqError
-from .qstate import StateError
-from .region import InternalCheckError, RegionError
-from .sim import SimError
+from .esq import EsqBudget
+from .region import InternalCheckError, RegionConstants, RegionError
 from .statespec import SpecError, parse_state_spec
 
 
@@ -83,7 +80,12 @@ def _report_header(command: str, spec, digest: str, seed: int) -> dict:
             "dims": list(spec.dims),
             "reference": spec.reference,
         },
+        "senders": _senders(spec),
     }
+
+
+def _senders(spec) -> list[str]:
+    return [lab for lab in spec.labels if lab != spec.reference]
 
 
 def _region_data(state, spec) -> tuple:
@@ -99,13 +101,9 @@ def _region_data(state, spec) -> tuple:
 
 
 def _vertices_field(vr) -> list:
-    out = []
-    for v in vr.vertices:
-        out.append({
-            "rates": {lab: r for lab, r in zip(v.senders, v.rates)},
-            "witness": list(v.witness) if v.witness else None,
-        })
-    return out
+    return [{"rates": dict(zip(v.senders, v.rates)),
+             "witness": list(v.witness) if v.witness else None}
+            for v in vr.vertices]
 
 
 def _constants_field(constants) -> dict:
@@ -113,17 +111,10 @@ def _constants_field(constants) -> dict:
     return {subset_name(s): v for s, v in constants.items()}
 
 
-def _write(path: str, text: str):
-    Path(path).write_text(text, encoding="utf-8")
-
-
-def _cmd_region(args) -> int:
-    spec, state, digest = _load_state(args.state)
+def _cmd_region(args, spec, state) -> tuple:
     rc, vr = _region_data(state, spec)
     violations = region.check_supermodular(rc)
-    report = _report_header("region", spec, digest, args.seed)
-    report.update({
-        "senders": list(rc.senders),
+    return {
         "reference": rc.reference,
         "constants": _constants_field(rc.c),
         "vertices": _vertices_field(vr),
@@ -131,51 +122,27 @@ def _cmd_region(args) -> int:
             {"K": subset_name(k), "L": subset_name(l), "deficit": d}
             for k, l, d in violations],
         "h_representation": hrep.export_h_representation(rc),
-    })
-    _write(args.out, _emit(report) + "\n")
-    return 0
+    }, ()
 
 
-def _cmd_corners(args) -> int:
-    spec, state, digest = _load_state(args.state)
-    rc, vr = _region_data(state, spec)
-    report = _report_header("corners", spec, digest, args.seed)
-    report.update({
-        "senders": list(rc.senders),
-        "vertices": _vertices_field(vr),
-    })
-    _write(args.out, _emit(report) + "\n")
-    return 0
+def _cmd_corners(args, spec, state) -> tuple:
+    _, vr = _region_data(state, spec)
+    return {"vertices": _vertices_field(vr)}, ()
 
 
-def _cmd_greedy(args) -> int:
-    spec, state, digest = _load_state(args.state)
+def _cmd_greedy(args, spec, state) -> tuple:
     rc = region.region_constants(state, spec.reference)
     costs = [float(x) for x in args.costs.split(",")]
     point, value = region.greedy_minimize(rc, costs)
-    report = _report_header("greedy", spec, digest, args.seed)
-    report.update({
-        "senders": list(rc.senders),
+    return {
         "costs": costs,
         "point": {lab: r for lab, r in zip(point.senders, point.rates)},
         "witness": list(point.witness),
         "objective": value,
-    })
-    _write(args.out, _emit(report) + "\n")
-    return 0
+    }, ()
 
 
-def _esq_sweep(dim: int, d_e_max: int) -> tuple[int, ...]:
-    # the largest d with dim * d**2 <= ESQ_DIM_CAP bounds the sweep
-    values = tuple(range(1, min(d_e_max,
-                                math.isqrt(esq.ESQ_DIM_CAP // dim)) + 1))
-    if not values:
-        raise EsqError(f"state dimension {dim} leaves no room for any "
-                       f"extension within the cap {esq.ESQ_DIM_CAP}")
-    return values
-
-
-def _esq_fields(state, rc, args) -> tuple[dict, dict]:
+def _esq_fields(state, rc, args) -> tuple[dict, RegionConstants]:
     """Report fields shared by esq and classify, and the outer bound."""
     estimates, raw = {}, {}
     # built before any search so a bad budget fails on every state
@@ -186,7 +153,7 @@ def _esq_fields(state, rc, args) -> tuple[dict, dict]:
             continue
         marginal = qstate.reduced_state(state, subset)
         budget = dataclasses.replace(
-            base, d_e_values=_esq_sweep(marginal.dim, args.d_e_max))
+            base, d_e_values=esq.d_e_sweep(marginal.dim, args.d_e_max))
         est = esq.esq_upper_bound(marginal, [{lab} for lab in sorted(subset)],
                                   budget)
         raw[subset] = est
@@ -204,18 +171,12 @@ def _esq_fields(state, rc, args) -> tuple[dict, dict]:
             "outer_constants": _constants_field(outer.c)}, outer
 
 
-def _cmd_esq(args) -> int:
-    spec, state, digest = _load_state(args.state)
+def _cmd_esq(args, spec, state) -> tuple:
     rc = region.region_constants(state, spec.reference)
-    fields, _ = _esq_fields(state, rc, args)
-    report = _report_header("esq", spec, digest, args.seed)
-    report.update({"senders": list(rc.senders), **fields})
-    _write(args.out, _emit(report) + "\n")
-    return 0
+    return _esq_fields(state, rc, args)[0], ()
 
 
-def _cmd_classify(args) -> int:
-    spec, state, digest = _load_state(args.state)
+def _cmd_classify(args, spec, state) -> tuple:
     rc = region.region_constants(state, spec.reference)
     rates = tuple(float(x) for x in args.point.split(","))
     if len(rates) != rc.m:
@@ -224,34 +185,45 @@ def _cmd_classify(args) -> int:
     fields, outer = _esq_fields(state, rc, args)
     verdict = esq.classify_rate_point(point, rc, outer)
     inner_check = region.membership(rc, point)
-    report = _report_header("classify", spec, digest, args.seed)
-    report.update({
-        "senders": list(rc.senders),
+    return {
         "point": {lab: r for lab, r in zip(rc.senders, rates)},
         "verdict": verdict,
         "inner_membership": inner_check.verdict,
         "violated_inner": [subset_name(s) for s in inner_check.violated],
         **fields,
-    })
-    _write(args.out, _emit(report) + "\n")
-    print(verdict)
-    return 0
+    }, [(sys.stdout, verdict)]
 
 
-def _cmd_simulate(args) -> int:
-    spec, state, digest = _load_state(args.state)
-    sender = args.sender
-    if sender is None:
-        others = [lab for lab in spec.labels if lab != spec.reference]
-        sender = others[0]
+def _cmd_simulate(args, spec, state) -> tuple:
+    sender = _senders(spec)[0] if args.sender is None else args.sender
     grid = [float(x) for x in args.grid.split(",")]
     curve = sim.decoupling_curve(
         state, sender, spec.reference, args.copies, grid,
         args.trials, args.seed, typical_delta=args.delta)
-    _write(args.out, curve.to_csv())
-    for note in curve.notes:
-        print(f"note: {note}", file=sys.stderr)
-    return 0
+    return curve.to_csv(), [(sys.stderr, f"note: {note}")
+                            for note in curve.notes]
+
+
+#: (name, fn, help) of each subcommand, in help order.  ``fn(args, spec,
+#: state)`` returns the report fields after the header (or the CSV text)
+#: and the (stream, line) pairs to print once the output is written.
+_COMMANDS = (
+    ("region", _cmd_region, "constants, vertices, H-representation"),
+    ("corners", _cmd_corners, "corner points only"),
+    ("greedy", _cmd_greedy, "greedy linear minimization"),
+    ("esq", _cmd_esq, "squashed-entanglement upper bounds and outer "
+                      "constants"),
+    ("classify", _cmd_classify, "achievable | gap | not_achievable"),
+    ("simulate", _cmd_simulate, "Monte Carlo decoupling curve (CSV)"),
+)
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type of --seed: numpy seeds are nonnegative integers."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, "
+                                         f"got {text}")
+    return int(text)
 
 
 @functools.cache
@@ -263,48 +235,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rate regions for multiparty quantum distributed "
                     "compression")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    subs = {}
+    for name, fn, help_text in _COMMANDS:
+        p = subs[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--state", required=True,
                        help="path to a state-spec file")
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=nonnegative_int, default=0,
                        help="master seed for randomized work")
+        p.set_defaults(fn=fn)
 
-    def esq_flags(p):
-        p.add_argument("--d-e-max", dest="d_e_max", type=int, default=4)
-        p.add_argument("--restarts", type=int, default=8)
-        p.add_argument("--iterations", type=int, default=4)
-
-    p = sub.add_parser("region", help="constants, vertices, H-representation")
-    common(p)
-    p.set_defaults(fn=_cmd_region)
-
-    p = sub.add_parser("corners", help="corner points only")
-    common(p)
-    p.set_defaults(fn=_cmd_corners)
-
-    p = sub.add_parser("greedy", help="greedy linear minimization")
-    common(p)
-    p.add_argument("--costs", required=True,
-                   help="comma-separated positive costs, sender order")
-    p.set_defaults(fn=_cmd_greedy)
-
-    p = sub.add_parser("esq", help="squashed-entanglement upper bounds "
-                                   "and outer constants")
-    common(p)
-    esq_flags(p)
-    p.set_defaults(fn=_cmd_esq)
-
-    p = sub.add_parser("classify", help="achievable | gap | not_achievable")
-    common(p)
-    esq_flags(p)
-    p.add_argument("--point", required=True,
-                   help="comma-separated rates, sender order")
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("simulate", help="Monte Carlo decoupling curve (CSV)")
-    common(p)
+    subs["greedy"].add_argument(
+        "--costs", required=True,
+        help="comma-separated positive costs, sender order")
+    budget = EsqBudget()
+    for p in (subs["esq"], subs["classify"]):
+        p.add_argument("--d-e-max", dest="d_e_max", type=int,
+                       default=max(budget.d_e_values))
+        p.add_argument("--restarts", type=int, default=budget.restarts)
+        p.add_argument("--iterations", type=int, default=budget.iterations)
+    subs["classify"].add_argument("--point", required=True,
+                                  help="comma-separated rates, sender order")
+    p = subs["simulate"]
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--grid", required=True,
                    help="comma-separated qubit rates per copy")
@@ -312,29 +264,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sender", default=None)
     p.add_argument("--delta", type=float, default=None,
                    help="typical-projection window (off when omitted)")
-    p.set_defaults(fn=_cmd_simulate)
     return parser
 
 
 def run_command(argv) -> int:
+    """The one pipeline: parse ``argv``, load the spec, compute the
+    command's output, write it to --out (a report behind its header),
+    then print the command's console lines; returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except np.linalg.LinAlgError as err:
-        # a ValueError subclass, but a numerical failure, not bad input
+        spec, state, digest = _load_state(args.state)
+        out, echo = args.fn(args, spec, state)
+        if isinstance(out, dict):
+            header = _report_header(args.command, spec, digest, args.seed)
+            out = _emit({**header, **out}) + "\n"
+        Path(args.out).write_text(out, encoding="utf-8")
+        for stream, line in echo:
+            print(line, file=stream)
+        return 0
+    except (np.linalg.LinAlgError, InternalCheckError) as err:
+        # LinAlgError is a ValueError, but a numerical failure, not bad input
         print(f"internal error: {err}", file=sys.stderr)
         return 3
-    except (SpecError, StateError, RegionError, EsqError, SimError,
-            ValueError) as err:
+    except ValueError as err:  # every qregion input error subclasses it
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except InternalCheckError as err:
-        print(f"internal error: {err}", file=sys.stderr)
-        return 3
     except Exception as err:  # unexpected: treat as internal failure
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3

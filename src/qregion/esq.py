@@ -79,13 +79,24 @@ class EsqBudget:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "iterations"):
+        for name in ("restarts", "iterations", "seed"):
             if getattr(self, name) < 0:
                 raise EsqError(f"budget {name} must be >= 0, "
                                f"got {getattr(self, name)}")
         if self.restarts > MAX_RESTARTS:
             raise EsqError(f"budget restarts {self.restarts} exceeds the "
                            f"cap {MAX_RESTARTS}")
+
+
+def d_e_sweep(dim: int, d_e_max: int) -> tuple[int, ...]:
+    """The d_E sweep 1..d_e_max for a state of dimension ``dim``, cut at
+    the largest d with dim * d**2 <= ESQ_DIM_CAP."""
+    values = tuple(range(1, min(d_e_max,
+                                math.isqrt(ESQ_DIM_CAP // dim)) + 1))
+    if not values:
+        raise EsqError(f"state dimension {dim} leaves no room for any "
+                       f"extension within the cap {ESQ_DIM_CAP}")
+    return values
 
 
 @dataclass(frozen=True, eq=False)

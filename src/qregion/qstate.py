@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statespec import StateSpec
+from .statespec import SpecError, StateSpec
 
 #: largest total Hilbert-space dimension accepted by constructors
 MAX_TOTAL_DIM = 4096
@@ -68,9 +68,6 @@ def entropy_of_op(op: np.ndarray) -> np.ndarray:
         raise StateError(f"operator not positive semidefinite "
                          f"(min eigenvalue {ev.min():.3g})")
     keep = ev > EIG_CUTOFF
-    if ev.ndim == 1:  # one matrix: nothing to group
-        ev = ev[keep]
-        return -(ev * np.log2(ev)).sum() if ev.size else np.float64(0.0)
     d = ev.shape[-1]
     support = keep.sum(axis=-1)
     out = np.zeros(support.shape)
@@ -156,7 +153,7 @@ class MultipartyState:
             raise StateError("labels must be pairwise distinct")
         if any(d < 1 for d in dims):
             raise StateError("dimensions must be ≥ 1")
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         if d > MAX_TOTAL_DIM:
             raise StateError(f"total dimension {d} exceeds cap {MAX_TOTAL_DIM}")
         if isinstance(op, _Ket):
@@ -205,7 +202,7 @@ class MultipartyState:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def index_of(self, label: str) -> int:
         try:
@@ -217,8 +214,7 @@ class MultipartyState:
         return sorted(self.index_of(lab) for lab in mask)
 
     def dim_of(self, mask: Iterable[str]) -> int:
-        return int(np.prod([self.dims[i] for i in self.indices_of(mask)],
-                           initial=1))
+        return math.prod(self.dims[i] for i in self.indices_of(mask))
 
     def purity(self) -> float:
         gram = self.psi.conj().T @ self.psi  # r × r, same spectrum as op
@@ -255,10 +251,14 @@ def build_state(spec: StateSpec) -> MultipartyState:
     """Construct the state named by a validated StateSpec.
 
     Mixture and product families record their explicit decomposition as
-    provenance; random families are deterministic given the seed.
+    provenance; random families are deterministic given the seed.  The
+    dimension cap is checked before any amplitude is allocated.
     """
-    builder = _BUILDERS[spec.family]
-    return builder(spec)
+    d = math.prod(spec.dims)
+    if d > MAX_TOTAL_DIM:
+        raise SpecError("dims", f"total dimension {d} exceeds cap "
+                        f"{MAX_TOTAL_DIM}")
+    return _BUILDERS[spec.family](spec)
 
 
 def _basis_ket(d: int, i: int) -> np.ndarray:

@@ -236,8 +236,8 @@ def parse_state_spec(text: str) -> StateSpec:
         pair = (str(pair[0]), str(pair[1]))
 
     seed = raw.get("seed")
-    if seed is not None and not _is_int(seed):
-        raise SpecError("seed", "must be an integer")
+    if seed is not None and (not _is_int(seed) or seed < 0):
+        raise SpecError("seed", "must be a nonnegative integer")
 
     branches = raw.get("branches")
     if branches is not None:

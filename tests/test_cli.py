@@ -393,3 +393,67 @@ def test_work_caps_reject_before_any_search(tmp_path, capsys, command, flags,
                        + flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dims", [[128, 64], [2 ** 32, 2 ** 32, 1]],
+                         ids=["8192", "int64-overflow"])
+def test_oversized_spec_is_refused_at_the_spec(tmp_path, capsys, dims):
+    labels = ["A", "B", "R"][-len(dims):]
+    spec = tmp_path / "big.spec"
+    spec.write_text(json.dumps({"family": "random_pure", "labels": labels,
+                                "dims": dims, "seed": 1, "reference": "R"}))
+    out = tmp_path / "r.json"
+    assert run_command(["region", "--state", str(spec),
+                        "--out", str(out)]) == 2
+    assert "error: dims: total dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("region", []), ("corners", []), ("greedy", ["--costs", "1,1"]),
+    ("esq", []), ("classify", ["--point", "1,1"]),
+    ("simulate", ["--copies", "1", "--grid", "0"]),
+], ids=["region", "corners", "greedy", "esq", "classify", "simulate"])
+def test_negative_seed_is_refused_by_the_parser(tmp_path, capsys,
+                                                ghz_spec_file, command,
+                                                flags):
+    out = tmp_path / "r.out"
+    assert run_command([command, "--state", str(ghz_spec_file), "--out",
+                        str(out), "--seed", "-1"] + flags) == 2
+    assert "argument --seed: must be a nonnegative integer" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+EIGHT_SENDERS = json.dumps({"family": "bell",
+                            "labels": [f"A{i + 1}" for i in range(8)] + ["R"],
+                            "dims": [2, 2] + [1] * 7, "pair": ["A1", "A2"],
+                            "reference": "R"})
+
+
+@pytest.mark.parametrize("command, flags, bad_text, bad_flags", [
+    ("region", [], EIGHT_SENDERS, []),
+    ("corners", [], EIGHT_SENDERS, []),
+    ("greedy", ["--costs", "1,2"], GHZ_TEXT, ["--costs", "1,-1"]),
+    ("esq", ["--restarts", "1", "--iterations", "0"], GHZ_TEXT,
+     ["--iterations", "-1"]),
+    ("classify", ["--point", "1,1", "--restarts", "1", "--iterations", "0"],
+     GHZ_TEXT, ["--point", "0.1"]),
+], ids=["region", "corners", "greedy", "esq", "classify"])
+def test_reports_share_one_header_and_write_only_on_success(
+        tmp_path, ghz_spec_file, command, flags, bad_text, bad_flags):
+    out = tmp_path / "r.json"
+    assert run_command([command, "--state", str(ghz_spec_file),
+                        "--out", str(out)] + flags) == 0
+    report = json.loads(out.read_text())
+    assert list(report)[:8] == ["tool", "version", "command", "generated_at",
+                                "spec_sha256", "seed", "state", "senders"]
+    assert report["command"] == command
+    assert report["senders"] == ["A1", "A2"]
+
+    bad = tmp_path / "bad.spec"
+    bad.write_text(bad_text)
+    bad_out = tmp_path / "bad.json"
+    assert run_command([command, "--state", str(bad), "--out",
+                        str(bad_out)] + bad_flags) == 2
+    assert not bad_out.exists()

@@ -440,7 +440,8 @@ def test_edge_budgets():
 
 
 @pytest.mark.parametrize("field, value", [("restarts", -1),
-                                          ("iterations", -3)])
+                                          ("iterations", -3),
+                                          ("seed", -1)])
 def test_budget_rejects_negative_counts(field, value):
     with pytest.raises(EsqError, match=f"budget {field} must be >= 0"):
         EsqBudget(**{field: value})

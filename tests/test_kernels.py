@@ -35,19 +35,20 @@ def test_vector_marginal_rows_match_reference(dims, rows, seed, data):
 @SETTINGS
 @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.data())
 def test_entropy_rows_match_reference(d, seed, data):
-    # one rank per row: full, deficient and pure rows share a stack
-    ranks = data.draw(st.lists(st.integers(1, d), min_size=1, max_size=6))
+    # one rank per row: full, deficient, pure and zero rows share a stack
+    ranks = data.draw(st.lists(st.integers(0, d), min_size=1, max_size=6))
     rng = np.random.default_rng(seed)
     ops = []
     for r in ranks:
         g = _ginibre(rng, (d, r))
         m = g @ g.conj().T
-        ops.append(m / np.trace(m).real)
+        ops.append(m / np.trace(m).real if r else m)
     stacked = Q.entropy_of_op(np.stack(ops))
     assert stacked.shape == (len(ranks),)
     for op, h in zip(ops, stacked):
-        assert h == entropy_reference(op)
-        assert float(Q.entropy_of_op(op)) == h
+        single = Q.entropy_of_op(op)  # an un-stacked (d, d) input
+        assert single.shape == ()
+        assert h == single == entropy_reference(op)
 
 
 @st.composite

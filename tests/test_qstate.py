@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import qregion as qr
+from qregion import qstate as Q
 from qregion.qstate import MultipartyState, StateError, state_from_vector
-from qregion.statespec import BranchSpec, StateSpec
+from qregion.statespec import BranchSpec, SpecError, StateSpec
 
 from helpers import (bell_state, bell_with_spectator, ghz_state,
                      product_state, random_ket)
@@ -253,3 +254,25 @@ def test_constructor_rejects_non_finite_operator(bad):
 def test_state_from_vector_rejects_non_finite_entries(bad):
     with pytest.raises(StateError, match="non-finite"):
         state_from_vector([bad, 1], ["A"], [2])
+
+
+def test_build_state_checks_the_dimension_cap_before_building(monkeypatch):
+    def build(spec):
+        pytest.fail("the builder ran on an oversized spec")
+
+    monkeypatch.setitem(Q._BUILDERS, "random_pure", build)
+    spec = StateSpec("random_pure", ("A", "R"), (128, 64), "R", seed=1)
+    with pytest.raises(SpecError, match="total dimension 8192 exceeds cap "
+                                        "4096") as err:
+        qr.build_state(spec)
+    assert err.value.field == "dims"
+
+
+def test_dimension_cap_survives_int64_overflow():
+    # 2**32 * 2**32 wraps to 0 in int64 arithmetic
+    dims = (2 ** 32, 2 ** 32, 1)
+    spec = StateSpec("random_pure", ("A", "B", "R"), dims, "R", seed=1)
+    with pytest.raises(SpecError, match=f"total dimension {2 ** 64} "):
+        qr.build_state(spec)
+    with pytest.raises(StateError, match=f"total dimension {2 ** 64} "):
+        MultipartyState(("A", "B", "R"), dims, np.zeros((0, 0)))

@@ -114,6 +114,24 @@ def test_parse_random_pure_needs_seed():
                          "dims: [2, 2], reference: R}")
 
 
+@pytest.mark.parametrize("family", [
+    "random_pure, labels: [A, R], dims: [2, 2]",
+    "ghz, labels: [A1, A2, R], dims: [2, 2, 2]",
+], ids=["random_pure", "ghz"])
+def test_parse_rejects_negative_seed(tmp_path, capsys, family):
+    text = f"{{family: {family}, reference: R, seed: -3}}"
+    with pytest.raises(SpecError, match="must be a nonnegative integer") \
+            as err:
+        parse_state_spec(text)
+    assert err.value.field == "seed"
+    path = tmp_path / "neg.spec"
+    path.write_text(text + "\n")
+    assert run_command(["region", "--state", str(path),
+                        "--out", str(tmp_path / "r.json")]) == 2
+    assert "error: seed: must be a nonnegative integer" \
+        in capsys.readouterr().err
+
+
 def test_parse_rejects_unnormalized_ket():
     text = ("{family: mixture, labels: [X1, X2], dims: [2, 2], "
             "reference: X2, branches: [{weight: 1.0, "
