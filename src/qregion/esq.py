@@ -443,7 +443,7 @@ def epsilon_prime(eps: float, dims: Sequence[int]) -> float:
     if any(d < 1 for d in dims):
         raise ValueError("dimensions must be >= 1")
     m = len(dims)
-    log_prod = math.log2(float(np.prod(dims)))
+    log_prod = math.log2(math.prod(dims))
     return 16.0 * math.sqrt(eps) * log_prod + (m + 1) * 2.0 * binary_entropy(s)
 
 

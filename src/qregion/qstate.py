@@ -5,8 +5,8 @@ Hilbert spaces, each stored with its canonical minimal purification.
 The module provides construction of named families, marginals and
 reduced states read from the purification, von Neumann entropies,
 multiparty information, fidelity, trace distance and purification.
-The marginal and entropy kernels take stacks, so a batch of states is
-one call.  All entropies are in bits.
+The marginal, entropy, fidelity and trace-norm kernels take stacks, so
+a batch of states is one call.  All entropies are in bits.
 """
 from __future__ import annotations
 
@@ -78,27 +78,23 @@ def entropy_of_op(op: np.ndarray) -> np.ndarray:
     return out
 
 
-def psd_sqrt(op: np.ndarray) -> np.ndarray:
-    ev, vec = np.linalg.eigh(hermitian_part(op))
-    ev = np.clip(ev, 0.0, None)
-    return (vec * np.sqrt(ev)) @ vec.conj().T
+def fidelity_ops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared-convention fidelities (Tr sqrt(sqrt(b) a sqrt(b)))^2 of
+    (..., d, d) stacks of density operators, shape (...)."""
+    ev, vec = np.linalg.eigh(hermitian_part(b))
+    rb = (vec * np.sqrt(np.clip(ev, 0.0, None))[..., None, :]) \
+        @ vec.conj().swapaxes(-1, -2)
+    ev = np.clip(np.linalg.eigvalsh(hermitian_part(rb @ a @ rb)), 0.0, None)
+    # square-rooting amplifies eigensolver noise near zero
+    ev[ev < ev.max(-1, keepdims=True) * 1e-12] = 0.0
+    s = np.sqrt(ev).sum(-1)
+    return np.clip(s * s, 0.0, 1.0)
 
 
-def fidelity_ops(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared-convention fidelity (Tr sqrt(sqrt(b) a sqrt(b)))^2."""
-    rb = psd_sqrt(b)
-    ev = np.linalg.eigvalsh(hermitian_part(rb @ a @ rb))
-    ev = np.clip(ev, 0.0, None)
-    if ev.size:
-        # square-rooting amplifies eigensolver noise near zero
-        ev[ev < ev.max() * 1e-12] = 0.0
-    s = float(np.sqrt(ev).sum())
-    return min(1.0, max(0.0, s * s))
-
-
-def trace_norm(m: np.ndarray) -> float:
-    ev = np.linalg.eigvalsh(hermitian_part(m))
-    return float(np.abs(ev).sum())
+def trace_norm(m: np.ndarray) -> np.ndarray:
+    """Trace norms of a (..., d, d) stack of Hermitian operators, shape
+    (...)."""
+    return np.abs(np.linalg.eigvalsh(hermitian_part(m))).sum(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +223,7 @@ class MultipartyState:
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     out = np.ones(1, dtype=complex)
     for f in factors:
-        out = np.kron(out, f)
+        out = np.multiply.outer(out, f).reshape(-1)
     return out
 
 
@@ -267,42 +263,33 @@ def _basis_ket(d: int, i: int) -> np.ndarray:
     return v
 
 
+def _basis_sum(spec: StateSpec, strings,
+               provenance=None) -> MultipartyState:
+    """Equal-weight superposition of basis strings (one row each, one
+    index per label)."""
+    vec = np.zeros(math.prod(spec.dims), dtype=complex)
+    vec[np.ravel_multi_index(np.asarray(strings).T, spec.dims)] = 1
+    return state_from_vector(vec, spec.labels, spec.dims, provenance)
+
+
 def _build_product(spec: StateSpec) -> MultipartyState:
     kets = tuple(_basis_ket(d, b) for d, b in zip(spec.dims, spec.basis))
-    vec = kron_all(kets)
-    prov = (MixtureBranch(1.0, kets),)
-    return state_from_vector(vec, spec.labels, spec.dims, provenance=prov)
+    return _basis_sum(spec, [spec.basis], (MixtureBranch(1.0, kets),))
 
 
 def _build_ghz(spec: StateSpec) -> MultipartyState:
-    live = [d for d in spec.dims if d > 1]
-    d = live[0]
-    vec = np.zeros(int(np.prod(spec.dims)), dtype=complex)
-    for j in range(d):
-        vec += kron_all([_basis_ket(dl, j if dl > 1 else 0)
-                         for dl in spec.dims])
-    return state_from_vector(vec, spec.labels, spec.dims)
+    return _basis_sum(spec, np.outer(range(max(spec.dims)),
+                                     [d > 1 for d in spec.dims]))
 
 
 def _build_w(spec: StateSpec) -> MultipartyState:
-    m = len(spec.labels)
-    vec = np.zeros(2 ** m, dtype=complex)
-    for i in range(m):
-        vec += kron_all([_basis_ket(2, 1 if j == i else 0)
-                         for j in range(m)])
-    return state_from_vector(vec, spec.labels, spec.dims)
+    return _basis_sum(spec, np.eye(len(spec.labels), dtype=int))
 
 
 def _build_bell(spec: StateSpec) -> MultipartyState:
-    a, b = spec.pair
-    d = spec.dim(a)
-    vec = np.zeros(int(np.prod(spec.dims)), dtype=complex)
-    for j in range(d):
-        factors = []
-        for lab, dl in zip(spec.labels, spec.dims):
-            factors.append(_basis_ket(dl, j if lab in (a, b) else 0))
-        vec += kron_all(factors)
-    return state_from_vector(vec, spec.labels, spec.dims)
+    return _basis_sum(spec, np.outer(range(spec.dim(spec.pair[0])),
+                                     [lab in spec.pair
+                                      for lab in spec.labels]))
 
 
 def _build_random_pure(spec: StateSpec) -> MultipartyState:
@@ -311,16 +298,19 @@ def _build_random_pure(spec: StateSpec) -> MultipartyState:
 
 def random_pure_state(labels: Sequence[str], dims: Sequence[int],
                       seed) -> MultipartyState:
-    """Haar-like random pure state from a normalized complex Gaussian draw."""
+    """Haar-like random pure state from a normalized complex Gaussian
+    draw; the dimension cap is checked before the draw."""
+    d = math.prod(map(int, dims))
+    if d > MAX_TOTAL_DIM:
+        raise StateError(f"total dimension {d} exceeds cap {MAX_TOTAL_DIM}")
     rng = np.random.default_rng(seed)
-    d = int(np.prod(dims))
     vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return state_from_vector(vec, labels, dims)
 
 
 def _build_mixture(spec: StateSpec) -> MultipartyState:
     branches = []
-    d = int(np.prod(spec.dims))
+    d = math.prod(spec.dims)
     op = np.zeros((d, d), dtype=complex)
     for br in spec.branches:
         kets = tuple(np.asarray(k, dtype=complex) for k in br.kets)
@@ -375,7 +365,7 @@ def entropy(state: MultipartyState, mask: Iterable[str]) -> float:
     if not idx:
         raise StateError("mask must be nonempty")
     dims = list(state.dims) + [state.psi.shape[1]]
-    d_mask = int(np.prod([dims[i] for i in idx]))
+    d_mask = math.prod(dims[i] for i in idx)
     side = idx
     if d_mask > state.dim // d_mask * dims[-1]:
         side = [i for i in range(len(dims)) if i not in idx]
@@ -451,13 +441,13 @@ def conditional_info_forms(state: MultipartyState,
 def fidelity(a: MultipartyState, b: MultipartyState) -> float:
     """Fidelity F(a, b) = (Tr sqrt(sqrt(b) a sqrt(b)))^2, in [0, 1]."""
     _check_same_shape(a, b)
-    return fidelity_ops(a.op, b.op)
+    return float(fidelity_ops(a.op, b.op))
 
 
 def trace_norm_distance(a: MultipartyState, b: MultipartyState) -> float:
     """Unnormalized trace distance Tr|a - b| (one-norm of the difference)."""
     _check_same_shape(a, b)
-    return trace_norm(a.op - b.op)
+    return float(trace_norm(a.op - b.op))
 
 
 def normalized_trace_distance(a: MultipartyState,

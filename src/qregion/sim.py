@@ -9,7 +9,6 @@ grid of qubit rates, exhibiting the half-mutual-information threshold.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,6 +26,9 @@ MAX_JOINT_DIM = 256
 
 #: most Haar trials one decoupling curve runs; the work is linear in it
 MAX_TRIALS = 10_000
+
+#: bytes of one trial's largest array times the trials stacked per chunk
+TRIAL_CHUNK_BYTES = 64 * 1024
 
 
 class SimError(ValueError):
@@ -91,15 +93,23 @@ def haar_unitary(d: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # n-copy states and typical projection
 
+def _copy_dims(dims: Sequence[int], n: int,
+               what: str = "state") -> tuple[int, ...]:
+    """Dimensions of n grouped copies of each block, once n >= 1 and the
+    n-copy product fits the dimension cap (compared in logs: the integer
+    power itself is slow for huge n)."""
+    if n < 1:
+        raise SimError("need n >= 1 copies")
+    if n * math.log2(math.prod(dims)) > math.log2(qstate.MAX_TOTAL_DIM):
+        raise SimError(f"n-copy {what} exceeds the dimension cap")
+    return tuple(d ** n for d in dims)
+
+
 def ncopy_state(state: MultipartyState, n: int) -> MultipartyState:
     """n copies of the state with each label's copies grouped into one
     block, so the labels survive with dimensions raised to the n."""
-    if n < 1:
-        raise SimError("need n >= 1 copies")
-    if n * math.log2(state.dim) > math.log2(qstate.MAX_TOTAL_DIM):
-        raise SimError("n-copy state exceeds the dimension cap")
+    dims = _copy_dims(state.dims, n)
     vec, purifier = _grouped_vector(state, n, 0)
-    dims = tuple(d ** n for d in state.dims)
     op = qstate.vector_marginal(vec, dims + (purifier,), range(len(dims)))
     return MultipartyState(state.labels, dims, op)
 
@@ -126,39 +136,35 @@ def typical_projection(state: MultipartyState, sender: str, n: int,
     """
     if not math.isfinite(delta) or delta < 0:
         raise SimError(f"delta must be finite and nonnegative, got {delta}")
-    if n < 1:
-        raise SimError("need n >= 1 copies")
-    marg = qstate.reduced_state(state, [sender]).op
+    s_idx = state.index_of(sender)
+    _copy_dims([state.dims[s_idx]], n, "sender block")
+    marg = qstate.vector_marginal(state.psi.reshape(-1),
+                                  state.dims + state.psi.shape[1:], [s_idx])
     ev, vec = np.linalg.eigh(qstate.hermitian_part(marg))
     order = np.argsort(ev)[::-1]
     ev, vec = ev[order], vec[:, order]
     ev = np.clip(ev, 0.0, None)
     d = ev.size
-    if d ** n > qstate.MAX_TOTAL_DIM:
-        raise SimError("n-copy sender block exceeds the dimension cap")
-    logp = np.full(d, -np.inf)
     positive = ev > qstate.EIG_CUTOFF
-    logp[positive] = np.log2(ev[positive])
-    h = float(-(ev[positive] * logp[positive]).sum())
+    logp = np.log2(ev[positive])
+    h = float(-(ev[positive] * logp).sum())
 
-    flags = np.zeros(d ** n, dtype=bool)
-    retained = 0.0
-    for idx, string in enumerate(itertools.product(range(d), repeat=n)):
-        counts = np.bincount(string, minlength=d)
-        if counts[~positive].any():
-            continue  # zero-probability outcome: never typical
-        avg = -float(counts[positive] @ logp[positive]) / n
-        if abs(avg - h) <= delta:
-            flags[idx] = True
-            retained += float(np.prod(ev ** counts))
+    # letter counts of every string, in itertools.product order
+    strings = np.indices((d,) * n).reshape(n, -1)
+    counts = (strings[:, :, None] == np.arange(d)).sum(axis=0)
+    avg = -(counts[:, positive] @ logp) / n
+    # a zero-probability letter makes a string never typical
+    flags = ~counts[:, ~positive].any(axis=1) & (np.abs(avg - h) <= delta)
     typical_dim = int(flags.sum())
     if typical_dim == 0:
         raise SimError("typical subspace is empty; increase delta or n")
+    # a running total in string order
+    retained = float(np.cumsum(np.prod(ev ** counts[flags], axis=1))[-1])
 
-    basis = vec
-    for _ in range(n - 1):
-        basis = np.kron(basis, vec)
-    cols = basis[:, flags]
+    # the typical product eigenvectors, one Kronecker factor per copy
+    cols = vec[:, strings[0, flags]]
+    for digits in strings[1:, flags]:
+        cols = (cols[:, None, :] * vec[:, digits]).reshape(-1, typical_dim)
     projector = cols @ cols.conj().T
     if retained < 0.5:
         warnings.warn(f"typical projection retains only {retained:.3f} "
@@ -195,13 +201,9 @@ class DecouplingCurve:
 
     def to_csv(self) -> str:
         lines = ["Q,trials,mean_dist,stderr_dist,mean_fid"]
-        for p in self.points:
-            lines.append(",".join([
-                format(p.q, ".12g"), str(p.trials),
-                format(p.mean_dist, ".12g"),
-                format(p.stderr_dist, ".12g"),
-                format(p.mean_fid, ".12g"),
-            ]))
+        lines += [f"{p.q:.12g},{p.trials},{p.mean_dist:.12g},"
+                  f"{p.stderr_dist:.12g},{p.mean_fid:.12g}"
+                  for p in self.points]
         return "\n".join(lines) + "\n"
 
 
@@ -246,8 +248,7 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
         raise SimError("need at least one trial")
     if trials > MAX_TRIALS:
         raise SimError(f"trials {trials} exceeds the cap {MAX_TRIALS}")
-    if n < 1:
-        raise SimError("need n >= 1 copies")
+    dims_grouped = _copy_dims(state.dims, n)
     d_s = state.dims[s_idx]
     q_max = n * math.log2(d_s)
     notes: list[str] = []
@@ -262,10 +263,6 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
                          f"floored to {nq} qubits")
         splits.append((float(q), nq))
 
-    # compared in logs: the integer power itself is slow for huge n
-    if n * math.log2(state.dim) > math.log2(qstate.MAX_TOTAL_DIM):
-        raise SimError("n-copy state exceeds the dimension cap")
-    dims_grouped = [d ** n for d in state.dims]
     block = dims_grouped[s_idx]
     for q, nq in splits:
         if block % (2 ** nq) != 0:
@@ -276,9 +273,9 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
         raise SimError(f"n-copy sender block of dimension {block} exceeds "
                        f"the Haar cap {MAX_HAAR_DIM}")
     d_ref = dims_grouped[r_idx]
-    joint = block // 2 ** min((nq for _, nq in splits), default=0) * d_ref
-    if joint > MAX_JOINT_DIM:
-        raise SimError(f"joint operator of dimension {joint} exceeds the "
+    d_joint = block // 2 ** min((nq for _, nq in splits), default=0) * d_ref
+    if d_joint > MAX_JOINT_DIM:
+        raise SimError(f"joint operator of dimension {d_joint} exceeds the "
                        f"cap {MAX_JOINT_DIM}")
 
     # sender block first, the other labels after it in label order, and
@@ -295,29 +292,32 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
         vec = (proj.projector @ vec.reshape(block, rest)).reshape(-1)
         vec = vec / np.linalg.norm(vec)
 
-    points = []
+    # the largest array a trial adds: its draw, its vector or a joint
+    per_trial = 16 * max(block * block, vec.size, d_joint * d_joint)
+    chunk = max(1, TRIAL_CHUNK_BYTES // per_trial)
     dists = np.zeros((len(splits), trials))
     fids = np.zeros((len(splits), trials))
-    for t in range(trials):
-        u = haar_unitary(block, [seed, t])
-        rotated = (u @ vec.reshape(block, rest)).reshape(-1)
+    for t0 in range(0, trials, chunk):
+        t1 = min(t0 + chunk, trials)
+        us = np.stack([haar_unitary(block, [seed, t]) for t in range(t0, t1)])
+        rotated = (us @ vec.reshape(block, rest)).reshape(t1 - t0, -1)
         for gi, (q, nq) in enumerate(splits):
             d_a1 = 2 ** nq
             d_a2 = block // d_a1
             joint = qstate.vector_marginal(rotated, [d_a1, d_a2] + rest_dims,
                                            [1, ref_pos])
-            j4 = joint.reshape(d_a2, d_ref, d_a2, d_ref)
-            sigma_a2 = np.trace(j4, axis1=1, axis2=3)
-            sigma_r = np.trace(j4, axis1=0, axis2=2)
-            product = np.kron(sigma_a2, sigma_r)
-            dists[gi, t] = qstate.trace_norm(joint - product) / 2.0
-            fids[gi, t] = qstate.fidelity_ops(joint, product)
+            j5 = joint.reshape(-1, d_a2, d_ref, d_a2, d_ref)
+            sigma_a2 = np.trace(j5, axis1=2, axis2=4)
+            sigma_r = np.trace(j5, axis1=1, axis2=3)
+            product = (sigma_a2[:, :, None, :, None]
+                       * sigma_r[:, None, :, None, :]).reshape(joint.shape)
+            dists[gi, t0:t1] = qstate.trace_norm(joint - product) / 2.0
+            fids[gi, t0:t1] = qstate.fidelity_ops(joint, product)
 
-    for gi, (q, nq) in enumerate(splits):
-        row_d = dists[gi]
-        stderr = float(row_d.std(ddof=1) / math.sqrt(trials)) \
-            if trials > 1 else 0.0
-        points.append(CurvePoint(q, nq, trials, float(row_d.mean()),
-                                 stderr, float(fids[gi].mean())))
+    stderr = dists.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 \
+        else np.zeros(len(splits))
+    points = tuple(CurvePoint(q, nq, trials, float(m), float(e), float(f))
+                   for (q, nq), m, e, f in zip(splits, dists.mean(axis=1),
+                                               stderr, fids.mean(axis=1)))
     return DecouplingCurve(state, sender, reference, n, int(seed), delta,
-                           retained, tuple(notes), tuple(points))
+                           retained, tuple(notes), points)

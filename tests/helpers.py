@@ -126,6 +126,62 @@ def entropy_reference(op):
     return float(-(ev * np.log2(ev)).sum())
 
 
+def trace_norm_reference(m):
+    """Trace norm of one Hermitian operator."""
+    ev = np.linalg.eigvalsh(qstate.hermitian_part(m))
+    return float(np.abs(ev).sum())
+
+
+def psd_sqrt_reference(op):
+    """Square root of one positive semidefinite operator."""
+    ev, vec = np.linalg.eigh(qstate.hermitian_part(op))
+    ev = np.clip(ev, 0.0, None)
+    return (vec * np.sqrt(ev)) @ vec.conj().T
+
+
+def fidelity_reference(a, b):
+    """Squared-convention fidelity (Tr sqrt(sqrt(b) a sqrt(b)))^2 of one
+    pair of density operators."""
+    rb = psd_sqrt_reference(b)
+    ev = np.linalg.eigvalsh(qstate.hermitian_part(rb @ a @ rb))
+    ev = np.clip(ev, 0.0, None)
+    if ev.size:
+        # square-rooting amplifies eigensolver noise near zero
+        ev[ev < ev.max() * 1e-12] = 0.0
+    s = float(np.sqrt(ev).sum())
+    return min(1.0, max(0.0, s * s))
+
+
+def typical_projection_reference(state, sender, n, delta):
+    """(projector, typical_dim, retained probability) of the
+    delta-typical projection, one string of n letters at a time."""
+    marg = qstate.reduced_state(state, [sender]).op
+    ev, vec = np.linalg.eigh(qstate.hermitian_part(marg))
+    order = np.argsort(ev)[::-1]
+    ev, vec = ev[order], vec[:, order]
+    ev = np.clip(ev, 0.0, None)
+    d = ev.size
+    logp = np.full(d, -np.inf)
+    positive = ev > qstate.EIG_CUTOFF
+    logp[positive] = np.log2(ev[positive])
+    h = float(-(ev[positive] * logp[positive]).sum())
+    flags = np.zeros(d ** n, dtype=bool)
+    retained = 0.0
+    for idx, string in enumerate(itertools.product(range(d), repeat=n)):
+        counts = np.bincount(string, minlength=d)
+        if counts[~positive].any():
+            continue  # zero-probability outcome: never typical
+        avg = -float(counts[positive] @ logp[positive]) / n
+        if abs(avg - h) <= delta:
+            flags[idx] = True
+            retained += float(np.prod(ev ** counts))
+    basis = vec
+    for _ in range(n - 1):
+        basis = np.kron(basis, vec)
+    cols = basis[:, flags]
+    return cols @ cols.conj().T, int(flags.sum()), retained
+
+
 def cond_info_reference(psi, x_dims, groups, iso, d_e, d_g):
     """I(X1;...;Xm|E) of the extension (I (x) V)|psi> for one isometry."""
     ext = psi @ iso.T  # (dim_X, d_e*d_g)

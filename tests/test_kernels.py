@@ -10,7 +10,8 @@ from qregion import qstate as Q
 from qregion.statespec import BranchSpec, StateSpec
 
 from helpers import (cond_info_reference, entropy_reference,
-                     partial_trace_op, random_mixture_state,
+                     fidelity_reference, partial_trace_op,
+                     random_mixture_state, trace_norm_reference,
                      vector_marginal_reference)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -49,6 +50,33 @@ def test_entropy_rows_match_reference(d, seed, data):
         single = Q.entropy_of_op(op)  # an un-stacked (d, d) input
         assert single.shape == ()
         assert h == single == entropy_reference(op)
+
+
+@SETTINGS
+@given(st.sampled_from((1, 2, 3, 8, 64)), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_trace_norm_and_fidelity_rows_match_reference(d, seed, data):
+    # each row pairs two density operators of independent ranks 1..d
+    ranks = data.draw(st.lists(st.tuples(st.integers(1, d),
+                                         st.integers(1, d)),
+                               min_size=1, max_size=4))
+    rng = np.random.default_rng(seed)
+
+    def density(r):
+        g = _ginibre(rng, (d, r))
+        m = g @ g.conj().T
+        return m / np.trace(m).real
+
+    a = np.stack([density(ra) for ra, _ in ranks])
+    b = np.stack([density(rb) for _, rb in ranks])
+    norms, fids = Q.trace_norm(a - b), Q.fidelity_ops(a, b)
+    assert norms.shape == fids.shape == (len(ranks),)
+    for ai, bi, norm, fid in zip(a, b, norms, fids):
+        single_norm = Q.trace_norm(ai - bi)  # un-stacked (d, d) inputs
+        single_fid = Q.fidelity_ops(ai, bi)
+        assert single_norm.shape == single_fid.shape == ()
+        assert norm == single_norm == trace_norm_reference(ai - bi)
+        assert fid == single_fid == fidelity_reference(ai, bi)
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,21 @@ def test_build_state_checks_the_dimension_cap_before_building(monkeypatch):
                                         "4096") as err:
         qr.build_state(spec)
     assert err.value.field == "dims"
+
+
+def test_random_pure_state_checks_the_cap_before_drawing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateError, match="total dimension 2097152 "
+                                             "exceeds cap 4096"):
+            qr.random_pure_state(["A", "B"], [2 ** 11, 2 ** 10], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 2**32 * 2**32 wraps to 0 in int64 arithmetic
+    with pytest.raises(StateError, match=f"total dimension {2 ** 64} "):
+        qr.random_pure_state(["A", "B"], [2 ** 32, 2 ** 32], 1)
 
 
 def test_dimension_cap_survives_int64_overflow():

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import qregion as qr
-from qregion import qstate, sim
+from qregion import sim
 from qregion.sim import SimError
 from qregion.statespec import BranchSpec, StateSpec
 
-from helpers import (bell_state, ghz_state, partial_trace_op, product_state,
-                     random_mixture_state, random_sender_state,
-                     reorder_subsystems)
+from helpers import (bell_state, fidelity_reference, ghz_state,
+                     partial_trace_op, product_state, random_mixture_state,
+                     random_sender_state, reorder_subsystems,
+                     trace_norm_reference, typical_projection_reference)
 
 
 def test_schedule_ghz():
@@ -247,6 +248,57 @@ def test_decoupling_checks_joint_cap_before_building(monkeypatch):
                             seed=1)
 
 
+def _typical_cases():
+    # W marginal (2/3, 1/3); a qutrit marginal of rank 2, so one zero
+    # eigenvalue; a pure marginal; random qubit and ququart marginals
+    zero = StateSpec(family="mixture", labels=("A", "R"), dims=(3, 2),
+                     reference="R",
+                     branches=(BranchSpec(0.3, ((1, 0, 0), (1, 0))),
+                               BranchSpec(0.7, ((0, 1, 0), (0, 1)))))
+    w = qr.build_state(StateSpec(family="w", labels=("A1", "A2", "R"),
+                                 dims=(2, 2, 2), reference="R"))
+    rand = qr.random_pure_state(("A", "B", "R"), (2, 2, 2), 12)
+    return [(w, "A1", 4, 0.4), (w, "A2", 3, 0.05),
+            (qr.build_state(zero), "A", 3, 0.5),
+            (qr.build_state(zero), "A", 5, 0.2),
+            (product_state(("A", "R")), "A", 4, 0.3),
+            (rand, "B", 6, 0.25), (rand, "A", 1, 2.0),
+            (qr.random_pure_state(("A", "R"), (4, 4), 3), "A", 3, 0.3)]
+
+
+@pytest.mark.filterwarnings("ignore:typical projection retains")
+@pytest.mark.parametrize("case", range(len(_typical_cases())))
+def test_typical_projection_matches_string_loop(case):
+    state, sender, n, delta = _typical_cases()[case]
+    tp = qr.typical_projection(state, sender, n, delta)
+    projector, typical_dim, retained = typical_projection_reference(
+        state, sender, n, delta)
+    assert tp.typical_dim == typical_dim
+    assert np.array_equal(tp.projector, projector)
+    assert tp.retained_probability == retained
+
+
+@pytest.mark.parametrize("case", ["bell", "mixture-delta", "three-label"])
+def test_decoupling_curve_is_independent_of_the_chunk_size(monkeypatch,
+                                                           case):
+    if case == "bell":
+        args = (bell_state(), "A", "R", 3, [0, 1 / 3, 2 / 3, 1.0])
+        kw = dict(trials=7, seed=5)
+    elif case == "mixture-delta":
+        mix = random_mixture_state(np.random.default_rng(0), ("A", "R"),
+                                   (2, 2))
+        args = (mix, "A", "R", 2, [0.0, 0.5, 1.0])
+        kw = dict(trials=40, seed=8, typical_delta=0.8)
+    else:
+        args = (random_sender_state(2, 3, d_ref=2), "A2", "R", 2,
+                [0.0, 0.5, 1.0])
+        kw = dict(trials=40, seed=9)
+    default = qr.decoupling_curve(*args, **kw).to_csv()
+    for cap in (0, 1 << 40):  # one trial per chunk, then a single chunk
+        monkeypatch.setattr(sim, "TRIAL_CHUNK_BYTES", cap)
+        assert qr.decoupling_curve(*args, **kw).to_csv() == default
+
+
 def test_typical_projection_rejects_non_finite_delta():
     bell = bell_state()
     for delta in (float("nan"), float("inf"), -0.1):
@@ -302,8 +354,9 @@ def _operator_reference(state, sender, reference, n, grid, trials, seed,
     rest_dims = [dims[i] for i in other]
     d_ref = dims[r_idx]
     if typical_delta is not None:
-        proj = qr.typical_projection(state, sender, n, typical_delta)
-        op = _conjugate_block(op, block, proj.projector)
+        proj, _, _ = typical_projection_reference(state, sender, n,
+                                                  typical_delta)
+        op = _conjugate_block(op, block, proj)
         op = op / np.real(np.trace(op))
     nqs = [int(math.floor(n * q + 1e-9)) for q in grid]
     dists = np.zeros((len(grid), trials))
@@ -319,8 +372,8 @@ def _operator_reference(state, sender, reference, n, grid, trials, seed,
             product = np.kron(
                 partial_trace_op(joint, [d_a2, d_ref], [0]),
                 partial_trace_op(joint, [d_a2, d_ref], [1]))
-            dists[gi, t] = qstate.trace_norm(joint - product) / 2.0
-            fids[gi, t] = qstate.fidelity_ops(joint, product)
+            dists[gi, t] = trace_norm_reference(joint - product) / 2.0
+            fids[gi, t] = fidelity_reference(joint, product)
     return [(row.mean(), row.std(ddof=1) / math.sqrt(trials), fid.mean())
             for row, fid in zip(dists, fids)]
 
