@@ -148,12 +148,20 @@ def _esq_fields(state, rc, args) -> tuple[dict, RegionConstants]:
     # built before any search so a bad budget fails on every state
     base = EsqBudget(restarts=args.restarts, iterations=args.iterations,
                      seed=args.seed)
-    for subset in rc.subsets:
-        if len(subset) < 2:
-            continue
+    sweeps = {s: esq.d_e_sweep(state.dim_of(s), args.d_e_max)
+              for s in rc.subsets if len(s) > 1}
+    entries = sum(map(len, sweeps.values()))
+    passes = entries * base.restarts * base.iterations
+    if passes > esq.MAX_SEARCH_PASSES:
+        raise esq.EsqError(
+            f"search work of {passes} descent passes ({entries} d_E values "
+            f"over {len(sweeps)} subsets x --restarts {base.restarts} x "
+            f"--iterations {base.iterations}) exceeds the cap "
+            f"{esq.MAX_SEARCH_PASSES}; lower --d-e-max, --restarts or "
+            f"--iterations")
+    for subset, d_e_values in sweeps.items():
         marginal = qstate.reduced_state(state, subset)
-        budget = dataclasses.replace(
-            base, d_e_values=esq.d_e_sweep(marginal.dim, args.d_e_max))
+        budget = dataclasses.replace(base, d_e_values=d_e_values)
         est = esq.esq_upper_bound(marginal, [{lab} for lab in sorted(subset)],
                                   budget)
         raw[subset] = est

@@ -28,6 +28,13 @@ ESQ_DIM_CAP = 1024
 #: most random restarts per d_E entry; the search work is linear in it
 MAX_RESTARTS = 1000
 
+#: most descent passes one esq or classify run may start: d_E sweep
+#: entries summed over the searched subsets, times restarts, times
+#: iterations.  The default budget is 128 passes per subset, so every
+#: sender count through m = 5 runs (3328 passes) and m = 6 (7296) and
+#: m = 7 (15296) are refused
+MAX_SEARCH_PASSES = 4096
+
 _ISOMETRY_TOL = 1e-9
 
 
@@ -445,24 +452,3 @@ def epsilon_prime(eps: float, dims: Sequence[int]) -> float:
     m = len(dims)
     log_prod = math.log2(math.prod(dims))
     return 16.0 * math.sqrt(eps) * log_prod + (m + 1) * 2.0 * binary_entropy(s)
-
-
-def perturbation_report(a: MultipartyState, b: MultipartyState,
-                        parts: Sequence[Iterable[str]],
-                        budget: EsqBudget = EsqBudget()) -> dict:
-    """Diagnostic (reported, not asserted): compare the estimate drift of
-    two nearby states against the continuity modulus."""
-    eps = qstate.normalized_trace_distance(a, b)
-    est_a = esq_upper_bound(a, parts, budget)
-    est_b = esq_upper_bound(b, parts, budget)
-    part_dims = [a.dim_of(p) for p in parts]
-    bound = epsilon_prime(eps, part_dims) if 2 * math.sqrt(eps) <= 1 \
-        else float("inf")
-    return {
-        "epsilon": eps,
-        "estimate_a": est_a.value,
-        "estimate_b": est_b.value,
-        "difference": abs(est_a.value - est_b.value),
-        "continuity_bound": bound,
-        "within_bound": abs(est_a.value - est_b.value) <= bound,
-    }

@@ -37,7 +37,24 @@ class StateError(ValueError):
 # raw-array helpers (hot paths work on bare ndarrays)
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+    h = m.conj().swapaxes(-1, -2)  # one new array: the sums go in place
+    h += m
+    h /= 2.0
+    return h
+
+
+def marginal_factor(vec: np.ndarray, dims: Sequence[int],
+                    keep: Sequence[int]) -> np.ndarray:
+    """Amplitude factors M of pure states given as a (..., prod(dims))
+    stack of amplitude vectors: (..., d_keep, d_rest) matrices whose
+    rows are the subsystems in ``keep`` (in their original order) and
+    whose columns are the rest, so the marginal on ``keep`` is M M^†."""
+    lead = vec.shape[:-1]
+    keep = sorted(keep)
+    rest = [i for i in range(len(dims)) if i not in keep]
+    t = vec.reshape(lead + tuple(dims)).transpose(
+        list(range(len(lead))) + [len(lead) + i for i in keep + rest])
+    return t.reshape(lead + (math.prod(dims[i] for i in keep), -1))
 
 
 def vector_marginal(vec: np.ndarray, dims: Sequence[int],
@@ -45,12 +62,7 @@ def vector_marginal(vec: np.ndarray, dims: Sequence[int],
     """Marginals of pure states given as a (..., prod(dims)) stack of
     amplitude vectors, keeping the subsystems in ``keep`` in their
     original order."""
-    lead = vec.shape[:-1]
-    keep = sorted(keep)
-    rest = [i for i in range(len(dims)) if i not in keep]
-    t = vec.reshape(lead + tuple(dims)).transpose(
-        list(range(len(lead))) + [len(lead) + i for i in keep + rest])
-    m = t.reshape(lead + (math.prod(dims[i] for i in keep), -1))
+    m = marginal_factor(vec, dims, keep)
     return m @ m.conj().swapaxes(-1, -2)
 
 
@@ -78,12 +90,18 @@ def entropy_of_op(op: np.ndarray) -> np.ndarray:
     return out
 
 
+def psd_sqrt(op: np.ndarray) -> np.ndarray:
+    """Square roots of a (..., d, d) stack of positive semidefinite
+    operators, negative eigenvalues clipped to zero."""
+    ev, vec = np.linalg.eigh(hermitian_part(op))
+    return (vec * np.sqrt(np.clip(ev, 0.0, None))[..., None, :]) \
+        @ vec.conj().swapaxes(-1, -2)
+
+
 def fidelity_ops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared-convention fidelities (Tr sqrt(sqrt(b) a sqrt(b)))^2 of
     (..., d, d) stacks of density operators, shape (...)."""
-    ev, vec = np.linalg.eigh(hermitian_part(b))
-    rb = (vec * np.sqrt(np.clip(ev, 0.0, None))[..., None, :]) \
-        @ vec.conj().swapaxes(-1, -2)
+    rb = psd_sqrt(b)
     ev = np.clip(np.linalg.eigvalsh(hermitian_part(rb @ a @ rb)), 0.0, None)
     # square-rooting amplifies eigensolver noise near zero
     ev[ev < ev.max(-1, keepdims=True) * 1e-12] = 0.0
@@ -410,32 +428,6 @@ def multiparty_info(state: MultipartyState, parts: Sequence[Iterable[str]],
     h_e = entropy(state, cond)
     total = sum(entropy(state, p | cond) - h_e for p in parts)
     return total - (entropy(state, every | cond) - h_e)
-
-
-def conditional_info_forms(state: MultipartyState,
-                           parts: Sequence[Iterable[str]],
-                           cond: Iterable[str]) -> tuple[float, float, float]:
-    """The three equivalent expansions of conditional multiparty information.
-
-    Returns (via conditional entropies, via joint entropies minus
-    (m-1) H(E), via unconditioned information minus the pairwise terms).
-    They agree up to floating-point rounding.
-    """
-    parts = [frozenset(p) for p in parts]
-    cond = frozenset(cond)
-    _check_disjoint(state, parts, cond)
-    every = frozenset().union(*parts)
-    m = len(parts)
-    h_e = entropy(state, cond)
-    h_joint = [entropy(state, p | cond) for p in parts]
-    h_all = entropy(state, every | cond)
-
-    form1 = sum(h - h_e for h in h_joint) - (h_all - h_e)
-    form2 = sum(h_joint) - h_all - (m - 1) * h_e
-    with_e = multiparty_info(state, list(parts) + [cond])
-    form3 = with_e - sum(
-        multiparty_info(state, [p, cond]) for p in parts)
-    return form1, form2, form3
 
 
 def fidelity(a: MultipartyState, b: MultipartyState) -> float:

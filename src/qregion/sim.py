@@ -22,13 +22,13 @@ from .qstate import MultipartyState
 MAX_HAAR_DIM = 256
 
 #: largest joint operator (kept remainder times reference) a trial forms
-MAX_JOINT_DIM = 256
+MAX_JOINT_DIM = 512
 
 #: most Haar trials one decoupling curve runs; the work is linear in it
 MAX_TRIALS = 10_000
 
 #: bytes of one trial's largest array times the trials stacked per chunk
-TRIAL_CHUNK_BYTES = 64 * 1024
+TRIAL_CHUNK_BYTES = 512 * 1024
 
 
 class SimError(ValueError):
@@ -77,17 +77,26 @@ def multiparty_schedule(state: MultipartyState, reference: str,
 # ---------------------------------------------------------------------------
 # random unitaries
 
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via Ginibre QR with phase correction."""
+def haar_unitaries(d: int, seeds: Sequence) -> np.ndarray:
+    """A (len(seeds), d, d) stack of Haar-distributed unitaries, one per
+    seed: each seed's Ginibre draw, then one stacked QR and the phase
+    correction of the whole stack (Mezzadri, math-ph/0609050)."""
     if not 1 <= d <= MAX_HAAR_DIM:
         raise SimError(f"dimension {d} outside [1, {MAX_HAAR_DIM}]")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) \
-        / math.sqrt(2.0)
+    z = np.empty((len(seeds), d, d), dtype=complex)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[i] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[:, None, :]
+
+
+def haar_unitary(d: int, seed) -> np.ndarray:
+    """Haar-distributed unitary via Ginibre QR with phase correction."""
+    return haar_unitaries(d, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +235,24 @@ def _grouped_vector(state: MultipartyState, n: int,
             .reshape(-1), r ** n)
 
 
+def _product_fidelity(m: np.ndarray, sigma_a: np.ndarray,
+                      sigma_b: np.ndarray) -> np.ndarray:
+    """Fidelities of a stack of joints J = M M^dagger on A (x) B against
+    the products P of their marginals ``sigma_a`` (x) ``sigma_b``.
+
+    sqrt(P) = sqrt(sigma_a) (x) sqrt(sigma_b), and Tr sqrt(sqrt(P) J
+    sqrt(P)) is the nuclear norm of sqrt(P) M.  Singular values below
+    1e-6 times the row's largest are dropped, the cut ``fidelity_ops``
+    makes on the eigenvalues of sqrt(P) J sqrt(P) (below 1e-12 times).
+    """
+    ra, rb = qstate.psd_sqrt(sigma_a), qstate.psd_sqrt(sigma_b)
+    root = (ra[:, :, None, :, None] * rb[:, None, :, None, :]).reshape(
+        len(m), m.shape[1], m.shape[1])
+    s = np.linalg.svd(root @ m, compute_uv=False)
+    s[s < s.max(-1, keepdims=True) * 1e-6] = 0.0
+    return np.clip(s.sum(-1) ** 2, 0.0, 1.0)
+
+
 def decoupling_curve(state: MultipartyState, sender: str, reference: str,
                      n: int, grid: Sequence[float], trials: int, seed: int,
                      typical_delta: float | None = None) -> DecouplingCurve:
@@ -299,20 +326,23 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     fids = np.zeros((len(splits), trials))
     for t0 in range(0, trials, chunk):
         t1 = min(t0 + chunk, trials)
-        us = np.stack([haar_unitary(block, [seed, t]) for t in range(t0, t1)])
+        us = haar_unitaries(block, [[seed, t] for t in range(t0, t1)])
         rotated = (us @ vec.reshape(block, rest)).reshape(t1 - t0, -1)
         for gi, (q, nq) in enumerate(splits):
             d_a1 = 2 ** nq
             d_a2 = block // d_a1
-            joint = qstate.vector_marginal(rotated, [d_a1, d_a2] + rest_dims,
-                                           [1, ref_pos])
+            # joint = M M^dagger, M's rows kept A2 x reference
+            m = qstate.marginal_factor(rotated, [d_a1, d_a2] + rest_dims,
+                                       [1, ref_pos])
+            joint = m @ m.conj().swapaxes(-1, -2)
             j5 = joint.reshape(-1, d_a2, d_ref, d_a2, d_ref)
             sigma_a2 = np.trace(j5, axis1=2, axis2=4)
             sigma_r = np.trace(j5, axis1=1, axis2=3)
-            product = (sigma_a2[:, :, None, :, None]
-                       * sigma_r[:, None, :, None, :]).reshape(joint.shape)
-            dists[gi, t0:t1] = qstate.trace_norm(joint - product) / 2.0
-            fids[gi, t0:t1] = qstate.fidelity_ops(joint, product)
+            # J - P in place, so no product operator outlives this line
+            joint -= (sigma_a2[:, :, None, :, None]
+                      * sigma_r[:, None, :, None, :]).reshape(joint.shape)
+            dists[gi, t0:t1] = qstate.trace_norm(joint) / 2.0
+            fids[gi, t0:t1] = _product_fidelity(m, sigma_a2, sigma_r)
 
     stderr = dists.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 \
         else np.zeros(len(splits))

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from qregion import build_state, qstate, random_pure_state, region
+from qregion import build_state, esq, qstate, random_pure_state, region
 from qregion.statespec import BranchSpec, StateSpec
 
 
@@ -195,6 +196,52 @@ def cond_info_reference(psi, x_dims, groups, iso, d_e, d_g):
         marg = vector_marginal_reference(vec, dims, list(group) + [e_ax])
         total += entropy_reference(marg)
     return total - h_xe - (len(groups) - 1) * h_e
+
+
+# ---------------------------------------------------------------------------
+# information and estimate oracles: second computations of library numbers
+
+def conditional_info_forms(state, parts, cond):
+    """The three equivalent expansions of conditional multiparty information.
+
+    Returns (via conditional entropies, via joint entropies minus
+    (m-1) H(E), via unconditioned information minus the pairwise terms).
+    They agree up to floating-point rounding.
+    """
+    parts = [frozenset(p) for p in parts]
+    cond = frozenset(cond)
+    qstate._check_disjoint(state, parts, cond)
+    every = frozenset().union(*parts)
+    m = len(parts)
+    h_e = qstate.entropy(state, cond)
+    h_joint = [qstate.entropy(state, p | cond) for p in parts]
+    h_all = qstate.entropy(state, every | cond)
+
+    form1 = sum(h - h_e for h in h_joint) - (h_all - h_e)
+    form2 = sum(h_joint) - h_all - (m - 1) * h_e
+    with_e = qstate.multiparty_info(state, list(parts) + [cond])
+    form3 = with_e - sum(
+        qstate.multiparty_info(state, [p, cond]) for p in parts)
+    return form1, form2, form3
+
+
+def perturbation_report(a, b, parts, budget=esq.EsqBudget()):
+    """Diagnostic (reported, not asserted): compare the estimate drift of
+    two nearby states against the continuity modulus."""
+    eps = qstate.normalized_trace_distance(a, b)
+    est_a = esq.esq_upper_bound(a, parts, budget)
+    est_b = esq.esq_upper_bound(b, parts, budget)
+    part_dims = [a.dim_of(p) for p in parts]
+    bound = esq.epsilon_prime(eps, part_dims) if 2 * math.sqrt(eps) <= 1 \
+        else float("inf")
+    return {
+        "epsilon": eps,
+        "estimate_a": est_a.value,
+        "estimate_b": est_b.value,
+        "difference": abs(est_a.value - est_b.value),
+        "continuity_bound": bound,
+        "within_bound": abs(est_a.value - est_b.value) <= bound,
+    }
 
 
 # ---------------------------------------------------------------------------

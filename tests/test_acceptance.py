@@ -19,9 +19,9 @@ from qregion.hrep import export_h_representation, parse_h_representation
 from qregion.region import (RatePoint, RegionConstants, SaturatedSystem,
                             nonempty_subsets)
 
-from helpers import (_row_rank, bell_between_senders, bell_state, ghz_state,
-                     product_state, random_mixture_state,
-                     random_sender_state)
+from helpers import (_row_rank, bell_between_senders, bell_state,
+                     conditional_info_forms, ghz_state, product_state,
+                     random_mixture_state, random_sender_state)
 
 
 @contextmanager
@@ -186,7 +186,7 @@ def test_criterion_06_entropic_identities():
             h = lambda m: qr.entropy(st, m)
             assert h({"A", "X"}) + h({"B", "X"}) \
                 - h({"A", "B", "X"}) - h({"X"}) >= -1e-7
-            forms = qr.qstate.conditional_info_forms(st, [{"A"}, {"B"}],
+            forms = conditional_info_forms(st, [{"A"}, {"B"}],
                                                      {"X"})
             assert max(forms) - min(forms) <= 1e-9
         for i in range(50):
@@ -204,7 +204,7 @@ def test_criterion_06_entropic_identities():
             h = lambda m: qr.entropy(st, m)
             assert h({"A", "E"}) + h({"B", "E"}) \
                 - h({"A", "B", "E"}) - h({"E"}) >= -1e-7
-            forms = qr.qstate.conditional_info_forms(
+            forms = conditional_info_forms(
                 st, [{"A"}, {"B"}, {"X"}], {"E"})
             assert max(forms) - min(forms) <= 1e-9
 

@@ -395,6 +395,33 @@ def test_work_caps_reject_before_any_search(tmp_path, capsys, command, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("esq", []), ("classify", ["--point", ",".join(["1"] * 7)]),
+], ids=["esq", "classify"])
+def test_esq_work_guard_refuses_seven_senders_before_any_search(
+        tmp_path, capsys, monkeypatch, command, flags):
+    def unreachable(*args):
+        raise AssertionError("an E_sq search started")
+
+    monkeypatch.setattr(qr.esq, "esq_upper_bound", unreachable)
+    monkeypatch.setattr(qr.qstate, "reduced_state", unreachable)
+    labels = [f"A{i + 1}" for i in range(7)] + ["R"]
+    spec = tmp_path / "r7.spec"
+    spec.write_text(json.dumps({"family": "random_pure", "labels": labels,
+                                "dims": [2] * 8, "seed": 7,
+                                "reference": "R"}))
+    out = tmp_path / "r.json"
+    # the default budget: 478 d_E values over 120 subsets, 8 restarts and
+    # 4 iterations each
+    assert run_command([command, "--state", str(spec), "--out", str(out)]
+                       + flags) == 2
+    err = capsys.readouterr().err
+    assert "search work of 15296 descent passes" in err
+    assert f"exceeds the cap {qr.esq.MAX_SEARCH_PASSES}" in err
+    assert "--restarts" in err and "--iterations" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dims", [[128, 64], [2 ** 32, 2 ** 32, 1]],
                          ids=["8192", "int64-overflow"])
 def test_oversized_spec_is_refused_at_the_spec(tmp_path, capsys, dims):

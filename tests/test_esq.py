@@ -13,8 +13,8 @@ from qregion.region import RatePoint
 from qregion.statespec import BranchSpec, StateSpec
 
 from helpers import (bell_between_senders, bell_state, cond_info_reference,
-                     ghz_state, product_state, random_mixture_spec,
-                     random_mixture_state)
+                     ghz_state, perturbation_report, product_state,
+                     random_mixture_spec, random_mixture_state)
 
 SMALL = EsqBudget(d_e_values=(1, 2), restarts=2, iterations=2, seed=0)
 
@@ -304,7 +304,7 @@ def test_perturbation_report_structure():
     eps = 0.002
     op = (1 - eps) * a.op + eps * np.eye(4) / 4
     b = Q.MultipartyState(a.labels, a.dims, op)
-    rep = E.perturbation_report(a, b, [{"A1"}, {"A2"}], SMALL)
+    rep = perturbation_report(a, b, [{"A1"}, {"A2"}], SMALL)
     assert set(rep) == {"epsilon", "estimate_a", "estimate_b",
                         "difference", "continuity_bound", "within_bound"}
     assert rep["epsilon"] <= eps + 1e-9

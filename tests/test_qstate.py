@@ -8,8 +8,9 @@ from qregion import qstate as Q
 from qregion.qstate import MultipartyState, StateError, state_from_vector
 from qregion.statespec import BranchSpec, SpecError, StateSpec
 
-from helpers import (bell_state, bell_with_spectator, ghz_state,
-                     product_state, random_ket)
+from helpers import (bell_state, bell_with_spectator,
+                     conditional_info_forms, ghz_state, product_state,
+                     random_ket)
 
 
 def test_ghz_rank_one_and_marginal_spectrum():
@@ -97,7 +98,7 @@ def test_multiparty_info_rejects_overlap():
 def test_conditional_forms_agree():
     for seed in range(8):
         st = qr.random_pure_state(("A", "B", "C", "E"), (2, 2, 2, 2), seed)
-        f1_, f2_, f3_ = qr.qstate.conditional_info_forms(
+        f1_, f2_, f3_ = conditional_info_forms(
             st, [{"A"}, {"B"}, {"C"}], {"E"})
         assert abs(f1_ - f2_) <= 1e-9
         assert abs(f1_ - f3_) <= 1e-9

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qregion as qr
 from qregion import sim
@@ -129,6 +131,18 @@ def test_decoupling_bell_endpoints():
     assert q0.mean_dist == pytest.approx(0.75, abs=1e-12)
     assert q0.stderr_dist <= 1e-12
     assert q1.mean_dist <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_decoupling_bell_at_zero_rate_is_exact(n):
+    # nothing sent: a maximally entangled joint of dimension 4**n against
+    # I / 4**n, whatever the unitary
+    curve = qr.decoupling_curve(bell_state(), "A", "R", n, [0.0], trials=5,
+                                seed=n)
+    point = curve.points[0]
+    assert abs(point.mean_fid - 4.0 ** -n) <= 1e-12
+    assert abs(point.mean_dist - (1 - 4.0 ** -n)) <= 1e-12
+    assert point.stderr_dist <= 1e-12
 
 
 def test_decoupling_monotone_bell_three_copies():
@@ -400,3 +414,41 @@ def test_mixed_decoupling_matches_operator_reference():
                                 (2, 2, 2))
     for sender in ("A1", "A2"):
         _assert_matches_reference(mix3, sender, 2, [0.0, 0.5, 1.0])
+
+
+@st.composite
+def _decoupling_cases(draw):
+    labels = draw(st.sampled_from((("A", "R"), ("A", "B", "R"))))
+    sender = draw(st.sampled_from(labels[:-1]))
+    dims = tuple(draw(st.sampled_from((2, 4))) if lab == sender
+                 else draw(st.sampled_from((1, 2, 3))) for lab in labels)
+    # the dense reference evolves a (prod(dims)**n)-dimensional operator
+    n = draw(st.integers(1, max(1, int(math.log(64, math.prod(dims))))))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        state = qr.random_pure_state(labels, dims, seed)
+    else:
+        state = random_mixture_state(np.random.default_rng(seed), labels,
+                                     dims, draw(st.integers(1, 3)))
+    qubits = n * int(math.log2(dims[labels.index(sender)]))
+    grid = draw(st.lists(st.integers(0, qubits), min_size=1, max_size=3,
+                         unique=True))
+    return state, sender, n, [j / n for j in grid]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_decoupling_cases())
+def test_decoupling_matches_operator_reference_on_random_inputs(case):
+    # pure and mixed inputs, full-rank and rank-deficient joints
+    state, sender, n, grid = case
+    _assert_matches_reference(state, sender, n, grid)
+
+
+def test_joint_cap_admits_512_and_refuses_1024():
+    wide = qr.random_pure_state(("A", "R"), (16, 32), 1)
+    curve = qr.decoupling_curve(wide, "A", "R", 1, [0.0, 4.0], trials=2,
+                                seed=1)
+    assert curve.points[1].mean_dist <= 1e-9
+    wider = qr.random_pure_state(("A", "R"), (32, 32), 1)
+    with pytest.raises(SimError, match="joint operator of dimension 1024"):
+        qr.decoupling_curve(wider, "A", "R", 1, [0.0], trials=2, seed=1)
