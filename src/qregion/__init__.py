@@ -53,10 +53,8 @@ from .esq import (  # noqa: F401
 )
 from .sim import (  # noqa: F401
     DecouplingCurve,
-    ProtocolSchedule,
     decoupling_curve,
     haar_unitary,
-    multiparty_schedule,
     ncopy_state,
     typical_projection,
 )

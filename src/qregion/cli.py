@@ -85,7 +85,10 @@ def _report_header(command: str, spec, digest: str, seed: int) -> dict:
 
 
 def _senders(spec) -> list[str]:
-    return [lab for lab in spec.labels if lab != spec.reference]
+    senders = [lab for lab in spec.labels if lab != spec.reference]
+    if not senders:
+        raise RegionError("need at least one sender besides the reference")
+    return senders
 
 
 def _region_data(state, spec) -> tuple:
@@ -132,10 +135,9 @@ def _cmd_corners(args, spec, state) -> tuple:
 
 def _cmd_greedy(args, spec, state) -> tuple:
     rc = region.region_constants(state, spec.reference)
-    costs = [float(x) for x in args.costs.split(",")]
-    point, value = region.greedy_minimize(rc, costs)
+    point, value = region.greedy_minimize(rc, args.costs)
     return {
-        "costs": costs,
+        "costs": args.costs,
         "point": {lab: r for lab, r in zip(point.senders, point.rates)},
         "witness": list(point.witness),
         "objective": value,
@@ -148,6 +150,8 @@ def _esq_fields(state, rc, args) -> tuple[dict, RegionConstants]:
     # built before any search so a bad budget fails on every state
     base = EsqBudget(restarts=args.restarts, iterations=args.iterations,
                      seed=args.seed)
+    if args.d_e_max < 1:
+        raise esq.EsqError(f"--d-e-max must be >= 1, got {args.d_e_max}")
     sweeps = {s: esq.d_e_sweep(state.dim_of(s), args.d_e_max)
               for s in rc.subsets if len(s) > 1}
     entries = sum(map(len, sweeps.values()))
@@ -186,7 +190,7 @@ def _cmd_esq(args, spec, state) -> tuple:
 
 def _cmd_classify(args, spec, state) -> tuple:
     rc = region.region_constants(state, spec.reference)
-    rates = tuple(float(x) for x in args.point.split(","))
+    rates = tuple(args.point)
     if len(rates) != rc.m:
         raise RegionError(f"--point needs {rc.m} comma-separated rates")
     point = region.RatePoint(rc.senders, rates)
@@ -204,9 +208,8 @@ def _cmd_classify(args, spec, state) -> tuple:
 
 def _cmd_simulate(args, spec, state) -> tuple:
     sender = _senders(spec)[0] if args.sender is None else args.sender
-    grid = [float(x) for x in args.grid.split(",")]
     curve = sim.decoupling_curve(
-        state, sender, spec.reference, args.copies, grid,
+        state, sender, spec.reference, args.copies, args.grid,
         args.trials, args.seed, typical_delta=args.delta)
     return curve.to_csv(), [(sys.stderr, f"note: {note}")
                             for note in curve.notes]
@@ -234,6 +237,16 @@ def nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def number_list(text: str) -> list[float]:
+    """argparse type of --costs, --point and --grid: comma-separated
+    numbers."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, "
+                                         f"got {text!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it
@@ -254,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     subs["greedy"].add_argument(
-        "--costs", required=True,
+        "--costs", type=number_list, required=True,
         help="comma-separated positive costs, sender order")
     budget = EsqBudget()
     for p in (subs["esq"], subs["classify"]):
@@ -262,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default=max(budget.d_e_values))
         p.add_argument("--restarts", type=int, default=budget.restarts)
         p.add_argument("--iterations", type=int, default=budget.iterations)
-    subs["classify"].add_argument("--point", required=True,
+    subs["classify"].add_argument("--point", type=number_list, required=True,
                                   help="comma-separated rates, sender order")
     p = subs["simulate"]
     p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--grid", required=True,
+    p.add_argument("--grid", type=number_list, required=True,
                    help="comma-separated qubit rates per copy")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--sender", default=None)

@@ -176,24 +176,6 @@ def _embedding_isometry(d_source: int, d_e: int, d_g: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # conditional information under an extension
 
-def _part_groups(state: MultipartyState,
-                 parts: Sequence[Iterable[str]]) -> list[list[int]]:
-    parts = [frozenset(p) for p in parts]
-    if not parts:
-        raise EsqError("at least one part required")
-    seen: set[str] = set()
-    groups = []
-    for p in parts:
-        if not p:
-            raise EsqError("empty part mask")
-        overlap = seen & p
-        if overlap:
-            raise EsqError(f"overlapping parts at {sorted(overlap)}")
-        seen |= p
-        groups.append(state.indices_of(p))
-    return groups
-
-
 def _cond_info_extended(psi: np.ndarray, x_dims: Sequence[int],
                         groups: Sequence[Sequence[int]], isos: np.ndarray,
                         d_e: int, d_g: int) -> np.ndarray:
@@ -223,11 +205,13 @@ def conditional_info_with_extension(state: MultipartyState,
                                     ch: ExtensionChannel) -> float:
     """Raw (not halved) conditional multiparty information I(parts|E)
     after applying ``ch`` to the canonical purifier of ``state``."""
-    groups = _part_groups(state, parts)
-    if state.dim * ch.d_e * ch.d_g > ESQ_DIM_CAP:
-        raise EsqError(f"extension dimension {state.dim * ch.d_e * ch.d_g} "
-                       f"exceeds cap {ESQ_DIM_CAP}")
+    groups = qstate.part_groups(state, parts)
     psi, r = qstate.purification_vector(state)
+    width = ch.d_e * ch.d_g
+    # no wider than the purifier (the trivial channel): no new amplitudes
+    if width > r and state.dim * width > ESQ_DIM_CAP:
+        raise EsqError(f"extension dimension {state.dim * width} "
+                       f"exceeds cap {ESQ_DIM_CAP}")
     if ch.source != purifier_label(state):
         raise EsqError(f"channel source {ch.source!r} is not the purifier "
                        f"label {purifier_label(state)!r}")
@@ -297,13 +281,14 @@ def esq_upper_bound(state: MultipartyState,
     optimized isometries over the d_E sweep (restart 0 of each sweep
     entry starts from the purifier-eigenbasis dephasing).  The restarts
     of each sweep entry descend in lockstep, scored as one stack by
-    ``_cond_info_extended``; a winning optimized isometry is scored
-    again, as a one-row stack, on its orthonormality-checked
-    ``ExtensionChannel``, which supplies the reported value.  The
-    returned value is half the smallest conditional information found,
-    clamped to [0, baseline]; deterministic given the budget seed.
+    ``_cond_info_extended``; the first smallest wins, and only it becomes
+    an orthonormality-checked ``ExtensionChannel``.  The baseline, the
+    flag and that channel are scored by ``conditional_info_with_extension``,
+    which supplies the reported value: half the smallest conditional
+    information found, clamped to [0, baseline]; deterministic given the
+    budget seed.
     """
-    groups = _part_groups(state, parts)
+    groups = qstate.part_groups(state, parts)
     d_x = state.dim
     for d_e in budget.d_e_values:
         if d_e >= 1 and d_x * d_e * d_e > ESQ_DIM_CAP:
@@ -314,21 +299,18 @@ def esq_upper_bound(state: MultipartyState,
     psi, r = qstate.purification_vector(state)
     src = purifier_label(state)
 
-    def run(iso: np.ndarray, d_e: int, d_g: int) -> float:
-        return float(_cond_info_extended(psi, state.dims, groups, iso[None],
-                                         d_e, d_g)[0])
-
-    candidates: list[tuple[ExtensionChannel, float]] = []
-    triv = trivial_channel(src, r)
-    baseline_raw = run(triv.isometry, 1, r)
-    candidates.append((triv, baseline_raw))
-
+    best_ch = trivial_channel(src, r)
+    baseline_raw = best_raw = conditional_info_with_extension(state, parts,
+                                                              best_ch)
     if state.provenance is not None:
         nb = len(state.provenance)
         if d_x * nb * nb <= ESQ_DIM_CAP:
             flag = classical_flag_channel(state)
-            candidates.append((flag, run(flag.isometry, nb, nb)))
+            raw = conditional_info_with_extension(state, parts, flag)
+            if raw < best_raw:
+                best_ch, best_raw = flag, raw
 
+    winner = None  # (d_e, isometry) of the best descent, once one leads
     for d_e in sorted(set(budget.d_e_values)):
         d_g = d_e
         if d_e * d_g < r or budget.restarts < 1:
@@ -343,14 +325,15 @@ def esq_upper_bound(state: MultipartyState,
             lambda isos: _cond_info_extended(psi, state.dims, groups, isos,
                                              d_e, d_g),
             np.stack(starts), budget.iterations)
-        for v, raw in zip(vs, raws.tolist()):
-            ch = ExtensionChannel(src, d_e, d_g, v, "parameterized")
-            candidates.append((ch, raw))
+        i = int(np.argmin(raws))
+        if raws[i] < best_raw:
+            best_raw, winner = float(raws[i]), (d_e, vs[i])
 
-    best_ch, best_raw = min(candidates, key=lambda t: t[1])
-    if best_ch.kind == "parameterized":
+    if winner is not None:
+        d_e, v = winner
+        best_ch = ExtensionChannel(src, d_e, d_e, v, "parameterized")
         # the reported value comes from the checked channel's own copy
-        best_raw = run(best_ch.isometry, best_ch.d_e, best_ch.d_g)
+        best_raw = conditional_info_with_extension(state, parts, best_ch)
     baseline = max(0.0, 0.5 * baseline_raw)
     value = min(baseline, max(0.0, 0.5 * best_raw))
     return EsqEstimate(value, baseline, best_ch, budget)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statespec import SpecError, StateSpec
+from .statespec import MixtureBranch, SpecError, StateSpec
 
 #: largest total Hilbert-space dimension accepted by constructors
 MAX_TOTAL_DIM = 4096
@@ -117,14 +117,6 @@ def trace_norm(m: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # domain types
-
-@dataclass(frozen=True)
-class MixtureBranch:
-    """One branch of an explicit separable decomposition."""
-
-    weight: float
-    kets: tuple[np.ndarray, ...]  # one local pure ket per label
-
 
 class _Ket:
     """Unit vector that ``state_from_vector`` passes in place of ``op``."""
@@ -327,15 +319,12 @@ def random_pure_state(labels: Sequence[str], dims: Sequence[int],
 
 
 def _build_mixture(spec: StateSpec) -> MultipartyState:
-    branches = []
     d = math.prod(spec.dims)
     op = np.zeros((d, d), dtype=complex)
     for br in spec.branches:
-        kets = tuple(np.asarray(k, dtype=complex) for k in br.kets)
-        ket = kron_all(kets)
+        ket = kron_all([np.asarray(k, dtype=complex) for k in br.kets])
         op += br.weight * np.outer(ket, ket.conj())
-        branches.append(MixtureBranch(br.weight, kets))
-    return MultipartyState(spec.labels, spec.dims, op, tuple(branches))
+    return MultipartyState(spec.labels, spec.dims, op, spec.branches)
 
 
 _BUILDERS = {
@@ -391,21 +380,27 @@ def entropy(state: MultipartyState, mask: Iterable[str]) -> float:
         vector_marginal(state.psi.reshape(-1), dims, side)))
 
 
-def _check_disjoint(state: MultipartyState, parts, cond):
-    seen: set[str] = set()
-    for part in parts:
-        part = set(part)
-        if not part:
+def part_groups(state: MultipartyState, parts: Sequence[Iterable[str]],
+                cond: Iterable[str] = ()) -> list[list[int]]:
+    """Sorted label indices of each part, once there is at least one
+    part and the parts are nonempty, pairwise disjoint, disjoint from
+    ``cond`` and made of labels of ``state``."""
+    groups = [state.indices_of(frozenset(p)) for p in parts]
+    if not groups:
+        raise StateError("at least one part required")
+    seen: set[int] = set()
+    for group in groups:
+        if not group:
             raise StateError("empty part mask")
-        for lab in part:
-            state.index_of(lab)
-            if lab in seen:
-                raise StateError(f"overlapping masks at {lab!r}")
-        seen |= part
+        overlap = seen.intersection(group)
+        if overlap:
+            raise StateError(f"overlapping parts at "
+                             f"{sorted(state.labels[i] for i in overlap)}")
+        seen.update(group)
     for lab in cond:
-        state.index_of(lab)
-        if lab in seen:
+        if state.index_of(lab) in seen:
             raise StateError(f"conditioning label {lab!r} overlaps a part")
+    return groups
 
 
 def multiparty_info(state: MultipartyState, parts: Sequence[Iterable[str]],
@@ -417,10 +412,8 @@ def multiparty_info(state: MultipartyState, parts: Sequence[Iterable[str]],
     reproduce the (conditional) mutual information.
     """
     parts = [frozenset(p) for p in parts]
-    if not parts:
-        raise StateError("at least one part required")
     cond = frozenset(cond) if cond is not None else frozenset()
-    _check_disjoint(state, parts, cond)
+    part_groups(state, parts, cond)
     every = frozenset().union(*parts)
     if not cond:
         total = sum(entropy(state, p) for p in parts)

@@ -1,4 +1,4 @@
-"""Monte Carlo decoupling simulator and protocol rate schedules.
+"""Monte Carlo decoupling simulator.
 
 A sender holding n copies of her share applies a random unitary and
 forwards part of the rotated block; transfer succeeds exactly when the
@@ -33,45 +33,6 @@ TRIAL_CHUNK_BYTES = 512 * 1024
 
 class SimError(ValueError):
     """Invalid simulation arguments."""
-
-
-# ---------------------------------------------------------------------------
-# schedules
-
-@dataclass(frozen=True)
-class ProtocolSchedule:
-    """Per-sender threshold rates for one decoding permutation.
-
-    ``thresholds[i]`` is half the mutual information between sender
-    ``permutation[i]`` and everything decoded after her (later senders
-    plus the reference); the thresholds telescope to the full-set
-    constant.
-    """
-
-    permutation: tuple[str, ...]
-    thresholds: tuple[float, ...]
-
-    def threshold(self, sender: str) -> float:
-        return self.thresholds[self.permutation.index(sender)]
-
-
-def multiparty_schedule(state: MultipartyState, reference: str,
-                        perm: Sequence[str]) -> ProtocolSchedule:
-    """Sequential-protocol rates: sender i needs half her mutual
-    information with the senders after her in ``perm`` and the
-    reference, computed on the single-copy state."""
-    ref_idx = state.index_of(reference)
-    senders = [lab for i, lab in enumerate(state.labels) if i != ref_idx]
-    if sorted(perm) != sorted(senders):
-        raise SimError(f"{tuple(perm)} is not a permutation of the senders "
-                       f"{tuple(senders)}")
-    perm = tuple(perm)
-    thresholds = []
-    for i, sender in enumerate(perm):
-        rest = set(perm[i + 1:]) | {reference}
-        info = qstate.multiparty_info(state, [{sender}, rest])
-        thresholds.append(0.5 * info)
-    return ProtocolSchedule(perm, tuple(thresholds))
 
 
 # ---------------------------------------------------------------------------

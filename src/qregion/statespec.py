@@ -30,8 +30,9 @@ class SpecError(ValueError):
 
 
 @dataclass(frozen=True)
-class BranchSpec:
-    """One mixture branch: a weight and one local pure ket per label."""
+class MixtureBranch:
+    """One branch of an explicit separable decomposition: a weight and
+    one local pure ket (a sequence of amplitudes) per label."""
 
     weight: float
     kets: tuple[tuple[complex, ...], ...]
@@ -46,7 +47,7 @@ class StateSpec:
     basis: tuple[int, ...] | None = None
     pair: tuple[str, str] | None = None
     seed: int | None = None
-    branches: tuple[BranchSpec, ...] | None = None
+    branches: tuple[MixtureBranch, ...] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -251,7 +252,7 @@ def parse_state_spec(text: str) -> StateSpec:
             kets = br["kets"]
             if not isinstance(kets, list):
                 raise SpecError("branches", f"branch {i}: kets must be a list")
-            parsed.append(BranchSpec(
+            parsed.append(MixtureBranch(
                 weight=_as_weight(br["weight"], f"branches[{i}].weight"),
                 kets=tuple(_as_ket(k, f"branches[{i}].kets") for k in kets),
             ))

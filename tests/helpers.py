@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from qregion import build_state, esq, qstate, random_pure_state, region
-from qregion.statespec import BranchSpec, StateSpec
+from qregion.statespec import MixtureBranch, StateSpec
 
 
 def ghz_state(labels=("A1", "A2", "R"), reference="R"):
@@ -64,10 +64,10 @@ def random_mixture_spec(rng, labels, dims, branches=3):
     brs = []
     for w in weights:
         kets = tuple(tuple(random_ket(rng, d)) for d in dims)
-        brs.append(BranchSpec(float(w), kets))
+        brs.append(MixtureBranch(float(w), kets))
     # force an exact unit sum against float drift
     total = sum(b.weight for b in brs)
-    brs[-1] = BranchSpec(brs[-1].weight + (1.0 - total), brs[-1].kets)
+    brs[-1] = MixtureBranch(brs[-1].weight + (1.0 - total), brs[-1].kets)
     return StateSpec(family="mixture", labels=tuple(labels),
                      dims=tuple(dims), reference=labels[-1],
                      branches=tuple(brs))
@@ -210,7 +210,7 @@ def conditional_info_forms(state, parts, cond):
     """
     parts = [frozenset(p) for p in parts]
     cond = frozenset(cond)
-    qstate._check_disjoint(state, parts, cond)
+    qstate.part_groups(state, parts, cond)
     every = frozenset().union(*parts)
     m = len(parts)
     h_e = qstate.entropy(state, cond)

@@ -452,6 +452,55 @@ def test_negative_seed_is_refused_by_the_parser(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("region", []), ("greedy", ["--costs", "1"]), ("esq", []),
+    ("simulate", ["--copies", "1", "--grid", "0"]),
+], ids=["region", "greedy", "esq", "simulate"])
+def test_a_spec_with_no_sender_is_refused(tmp_path, capsys, command, flags):
+    spec = tmp_path / "ref.spec"
+    spec.write_text("{family: product, labels: [R], dims: [2], basis: '0', "
+                    "reference: R}\n")
+    out = tmp_path / "r.out"
+    assert run_command([command, "--state", str(spec), "--out", str(out)]
+                       + flags) == 2
+    assert "need at least one sender besides the reference" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("esq", ["--d-e-max", "0"]),
+    ("classify", ["--point", "1,1", "--d-e-max", "-3"]),
+], ids=["esq-zero", "classify-negative"])
+def test_d_e_max_below_one_is_refused(tmp_path, capsys, ghz_spec_file,
+                                      command, flags):
+    out = tmp_path / "r.json"
+    assert run_command([command, "--state", str(ghz_spec_file),
+                        "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "--d-e-max must be >= 1" in err
+    assert "leaves no room" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, text, flags", [
+    ("greedy", "--costs", "1,abc", []),
+    ("greedy", "--costs", "1,,2", []),
+    ("classify", "--point", "a,b", []),
+    ("simulate", "--grid", "x", ["--copies", "1"]),
+    ("simulate", "--grid", "", ["--copies", "1"]),
+], ids=["costs-word", "costs-empty-entry", "point", "grid-word",
+        "grid-empty"])
+def test_number_lists_name_their_flag(tmp_path, capsys, ghz_spec_file,
+                                      command, flag, text, flags):
+    out = tmp_path / "r.out"
+    assert run_command([command, "--state", str(ghz_spec_file), "--out",
+                        str(out), flag, text] + flags) == 2
+    assert f"argument {flag}: must be comma-separated numbers" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 EIGHT_SENDERS = json.dumps({"family": "bell",
                             "labels": [f"A{i + 1}" for i in range(8)] + ["R"],
                             "dims": [2, 2] + [1] * 7, "pair": ["A1", "A2"],

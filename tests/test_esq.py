@@ -10,7 +10,7 @@ from qregion import esq as E
 from qregion import qstate as Q
 from qregion.esq import EsqBudget, EsqError
 from qregion.region import RatePoint
-from qregion.statespec import BranchSpec, StateSpec
+from qregion.statespec import MixtureBranch, StateSpec
 
 from helpers import (bell_between_senders, bell_state, cond_info_reference,
                      ghz_state, perturbation_report, product_state,
@@ -33,8 +33,8 @@ def test_trivial_channel_reproduces_unconditional_info():
 def test_classical_flag_zeroes_mixture():
     spec = StateSpec(family="mixture", labels=("X1", "X2"), dims=(2, 2),
                      reference="X2",
-                     branches=(BranchSpec(0.5, ((1, 0), (1, 0))),
-                               BranchSpec(0.5, ((0, 1), (0, 1)))))
+                     branches=(MixtureBranch(0.5, ((1, 0), (1, 0))),
+                               MixtureBranch(0.5, ((0, 1), (0, 1)))))
     st = qr.build_state(spec)
     ch = E.classical_flag_channel(st)
     assert ch.kind == "classical_flag"
@@ -131,8 +131,22 @@ def test_channel_validation_and_caps():
         qr.esq_upper_bound(big, [{"A"}, {"B"}],
                            EsqBudget(d_e_values=(8,), restarts=1,
                                      iterations=1, seed=0))
-    with pytest.raises(EsqError):
+    with pytest.raises(Q.StateError, match="at least one part"):
         qr.esq_upper_bound(big, [], SMALL)
+
+
+def test_baseline_of_a_purifier_wider_than_the_cap():
+    # dim 64 and rank 32: the trivial extension has 64 * 32 > ESQ_DIM_CAP
+    # amplitudes, but no more than the purification already holds
+    marg = qr.reduced_state(
+        qr.random_pure_state(("A", "B", "C"), (8, 8, 32), 1), {"A", "B"})
+    assert marg.dim * Q.purification_vector(marg)[1] > E.ESQ_DIM_CAP
+    est = qr.esq_upper_bound(marg, [{"A"}, {"B"}],
+                             EsqBudget(d_e_values=(1,), restarts=1,
+                                       iterations=1))
+    assert est.best_channel.kind == "trivial"
+    assert abs(est.baseline
+               - 0.5 * qr.multiparty_info(marg, [{"A"}, {"B"}])) <= 1e-9
 
 
 def test_wrong_purifier_dimension_rejected():
@@ -255,10 +269,10 @@ def test_subadditivity_smoke_separable_product():
     branches = []
     for bx in sx.branches:
         for by in sy.branches:
-            branches.append(BranchSpec(bx.weight * by.weight,
+            branches.append(MixtureBranch(bx.weight * by.weight,
                                        bx.kets + by.kets))
     total = sum(b.weight for b in branches)
-    branches[-1] = BranchSpec(branches[-1].weight + (1 - total),
+    branches[-1] = MixtureBranch(branches[-1].weight + (1 - total),
                               branches[-1].kets)
     prod = qr.build_state(StateSpec(
         family="mixture", labels=("X1", "X2", "Y1", "Y2"),
@@ -327,7 +341,7 @@ def test_cond_info_batch_matches_reference_rows():
     cases = [(_panel_marginal(5), [{"A1"}, {"A2"}]),
              (three, [{"A1"}, {"A2"}, {"A3"}])]
     for st, parts in cases:
-        groups = E._part_groups(st, parts)
+        groups = Q.part_groups(st, parts)
         psi, r = Q.purification_vector(st)
         for d_e in (1, 2, 3, 4):
             d_g = max(d_e, r)
@@ -372,7 +386,7 @@ def _serial_descent(fn, v0, max_passes, step0=0.3):
 
 def test_lockstep_descent_matches_serial_descent():
     st = _panel_marginal(6)
-    groups = E._part_groups(st, [{"A1"}, {"A2"}])
+    groups = Q.part_groups(st, [{"A1"}, {"A2"}])
     psi, r = Q.purification_vector(st)
     rng = np.random.default_rng(3)
     d_e = 2
@@ -390,14 +404,19 @@ def test_lockstep_descent_matches_serial_descent():
         assert np.array_equal(v, ref_v)
 
 
-@pytest.mark.parametrize("seed, value", [(101, 0.4138291290852419),
-                                         (102, 0.3149789113537496),
-                                         (103, 0.41162052561565704)])
-def test_panel_values_pinned(seed, value):
+#: seed, exact value and winning (kind, d_E) of each panel marginal
+PANEL = [(101, 0.4138291290852419, ("parameterized", 2)),
+         (102, 0.3149789113537496, ("parameterized", 2)),
+         (103, 0.41162052561565704, ("parameterized", 2))]
+
+
+@pytest.mark.parametrize("seed, value, winner", PANEL,
+                         ids=[f"{seed}-{value}" for seed, value, _ in PANEL])
+def test_panel_values_pinned(seed, value, winner):
     est = qr.esq_upper_bound(_panel_marginal(seed), [{"A1"}, {"A2"}],
                              EsqBudget(seed=7))
     assert est.value == value
-    assert est.best_channel.kind == "parameterized"
+    assert (est.best_channel.kind, est.best_channel.d_e) == winner
 
 
 def test_edge_budgets():
@@ -413,7 +432,7 @@ def test_edge_budgets():
     # iterations=0 scores only the starting points
     budget = EsqBudget(d_e_values=(2, 3), restarts=3, iterations=0, seed=4)
     est = qr.esq_upper_bound(marg, parts, budget)
-    groups = E._part_groups(marg, parts)
+    groups = Q.part_groups(marg, parts)
     psi, r = Q.purification_vector(marg)
     raws = E._cond_info_extended(psi, marg.dims, groups,
                                  E.trivial_channel("R0", r).isometry[None],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import qregion as qr
 from qregion import esq as E
 from qregion import qstate as Q
-from qregion.statespec import BranchSpec, StateSpec
+from qregion.statespec import MixtureBranch, StateSpec
 
 from helpers import (cond_info_reference, entropy_reference,
                      fidelity_reference, partial_trace_op,
@@ -103,7 +103,7 @@ def _extension_cases(draw):
 @given(_extension_cases())
 def test_cond_info_rows_match_reference(case):
     state, parts, d_e, d_g, rows, seed = case
-    groups = E._part_groups(state, parts)
+    groups = Q.part_groups(state, parts)
     psi, r = Q.purification_vector(state)
     isos = E._polar_isometry(_ginibre(np.random.default_rng(seed),
                                       (rows, d_e * d_g, r)))
@@ -120,8 +120,8 @@ def test_reduced_state_of_dropped_eigenvalue_passes_trace_check():
     # marginal read from psi loses that much trace
     spec = StateSpec(family="mixture", labels=("A1", "A2", "R"),
                      dims=(2, 2, 2), reference="R",
-                     branches=(BranchSpec(1 - 5e-13, ((1, 0),) * 3),
-                               BranchSpec(5e-13, ((0, 1),) * 3)))
+                     branches=(MixtureBranch(1 - 5e-13, ((1, 0),) * 3),
+                               MixtureBranch(5e-13, ((0, 1),) * 3)))
     state = qr.build_state(spec)
     assert state.psi.shape[1] == 1
     for keep in ({"A1"}, {"A1", "A2"}, {"A2", "R"}):

@@ -6,7 +6,7 @@ import pytest
 import qregion as qr
 from qregion import qstate as Q
 from qregion.qstate import MultipartyState, StateError, state_from_vector
-from qregion.statespec import BranchSpec, SpecError, StateSpec
+from qregion.statespec import MixtureBranch, SpecError, StateSpec
 
 from helpers import (bell_state, bell_with_spectator,
                      conditional_info_forms, ghz_state, product_state,
@@ -31,8 +31,8 @@ def test_product_state_zero_marginals():
 def test_mixture_provenance_and_diagonal_op():
     spec = StateSpec(family="mixture", labels=("X1", "X2"), dims=(2, 2),
                      reference="X2",
-                     branches=(BranchSpec(0.5, ((1, 0), (1, 0))),
-                               BranchSpec(0.5, ((0, 1), (0, 1)))))
+                     branches=(MixtureBranch(0.5, ((1, 0), (1, 0))),
+                               MixtureBranch(0.5, ((0, 1), (0, 1)))))
     st = qr.build_state(spec)
     assert len(st.provenance) == 2
     assert np.allclose(st.op, np.diag([0.5, 0, 0, 0.5]), atol=1e-12)

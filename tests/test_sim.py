@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import qregion as qr
 from qregion import sim
+from qregion.region import RegionError
 from qregion.sim import SimError
-from qregion.statespec import BranchSpec, StateSpec
+from qregion.statespec import MixtureBranch, StateSpec
 
 from helpers import (bell_state, fidelity_reference, ghz_state,
                      partial_trace_op, product_state, random_mixture_state,
@@ -17,34 +18,38 @@ from helpers import (bell_state, fidelity_reference, ghz_state,
                      trace_norm_reference, typical_projection_reference)
 
 
+# The sequential protocol runs one two-sender stage per sender; the stage
+# rates of a decoding order are the coordinates of its corner point.
 def test_schedule_ghz():
-    sch = qr.multiparty_schedule(ghz_state(), "R", ("A1", "A2"))
-    assert sch.thresholds == pytest.approx((1.0, 0.5), abs=1e-8)
-    assert sch.threshold("A1") == pytest.approx(1.0, abs=1e-8)
+    pt = qr.corner_point(qr.region_constants(ghz_state(), "R"), ("A1", "A2"))
+    assert pt.rates == pytest.approx((1.0, 0.5), abs=1e-8)
+    assert pt.rate("A1") == pytest.approx(1.0, abs=1e-8)
 
 
 def test_schedule_product_state():
-    sch = qr.multiparty_schedule(product_state(), "R", ("A2", "A1"))
-    assert sch.thresholds == pytest.approx((0.0, 0.0), abs=1e-9)
+    rc = qr.region_constants(product_state(), "R")
+    assert qr.corner_point(rc, ("A2", "A1")).rates \
+        == pytest.approx((0.0, 0.0), abs=1e-9)
 
 
 def test_schedule_telescopes_and_matches_corners():
+    # stage i costs 1/2 I(A_pi_i; R A_pi_>i); the stages sum to C_full
     for seed in range(6):
         state = random_sender_state(3, 40 + seed)
         rc = qr.region_constants(state, "R")
         for perm in itertools.permutations(rc.senders):
-            sch = qr.multiparty_schedule(state, "R", perm)
-            assert sum(sch.thresholds) \
-                == pytest.approx(rc.value(rc.senders), abs=1e-8)
             pt = qr.corner_point(rc, perm)
-            for sender in perm:
-                assert abs(sch.threshold(sender)
-                           - pt.rate(sender)) <= 1e-8
+            assert sum(pt.rates) \
+                == pytest.approx(rc.value(rc.senders), abs=1e-8)
+            for i, sender in enumerate(perm):
+                rest = set(perm[i + 1:]) | {"R"}
+                stage = 0.5 * qr.multiparty_info(state, [{sender}, rest])
+                assert abs(stage - pt.rate(sender)) <= 1e-8
 
 
 def test_schedule_rejects_bad_permutation():
-    with pytest.raises(SimError):
-        qr.multiparty_schedule(ghz_state(), "R", ("A1", "R"))
+    with pytest.raises(RegionError):
+        qr.corner_point(qr.region_constants(ghz_state(), "R"), ("A1", "R"))
 
 
 def test_haar_unitary_contracts():
@@ -93,8 +98,8 @@ def test_typical_projection_pure_marginal():
 def test_typical_projection_binomial_oracle():
     spec = StateSpec(family="mixture", labels=("A", "R"), dims=(2, 2),
                      reference="R",
-                     branches=(BranchSpec(1 / 3, ((1, 0), (1, 0))),
-                               BranchSpec(2 / 3, ((0, 1), (0, 1)))))
+                     branches=(MixtureBranch(1 / 3, ((1, 0), (1, 0))),
+                               MixtureBranch(2 / 3, ((0, 1), (0, 1)))))
     st = qr.build_state(spec)
     n, delta = 6, 0.5
     tp = qr.typical_projection(st, "A", n, delta)
@@ -115,8 +120,8 @@ def test_typical_projection_binomial_oracle():
 def test_typical_projection_warns_when_tight():
     spec = StateSpec(family="mixture", labels=("A", "R"), dims=(2, 2),
                      reference="R",
-                     branches=(BranchSpec(0.75, ((1, 0), (1, 0))),
-                               BranchSpec(0.25, ((0, 1), (0, 1)))))
+                     branches=(MixtureBranch(0.75, ((1, 0), (1, 0))),
+                               MixtureBranch(0.25, ((0, 1), (0, 1)))))
     st = qr.build_state(spec)
     with pytest.warns(UserWarning, match="retains"):
         tp = qr.typical_projection(st, "A", 4, 0.2)
@@ -267,8 +272,8 @@ def _typical_cases():
     # eigenvalue; a pure marginal; random qubit and ququart marginals
     zero = StateSpec(family="mixture", labels=("A", "R"), dims=(3, 2),
                      reference="R",
-                     branches=(BranchSpec(0.3, ((1, 0, 0), (1, 0))),
-                               BranchSpec(0.7, ((0, 1, 0), (0, 1)))))
+                     branches=(MixtureBranch(0.3, ((1, 0, 0), (1, 0))),
+                               MixtureBranch(0.7, ((0, 1, 0), (0, 1)))))
     w = qr.build_state(StateSpec(family="w", labels=("A1", "A2", "R"),
                                  dims=(2, 2, 2), reference="R"))
     rand = qr.random_pure_state(("A", "B", "R"), (2, 2, 2), 12)
