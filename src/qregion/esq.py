@@ -5,7 +5,8 @@ conditional multiparty information I(X1;...;Xm|E) over all extensions
 of the state to an auxiliary system E.  Every extension arises from a
 channel acting on a purifying system, so the search space here is the
 set of Stinespring isometries applied to the canonical minimal
-purifier.  The infimum is generally unattainable numerically: this
+purifier, searched by Riemannian gradient descent with a polar
+retraction.  The infimum is generally unattainable numerically: this
 module only ever certifies an upper bound, and the rate-point
 classification inherits the matching one-sided soundness.
 """
@@ -30,10 +31,13 @@ MAX_RESTARTS = 1000
 
 #: most descent passes one esq or classify run may start: d_E sweep
 #: entries summed over the searched subsets, times restarts, times
-#: iterations.  The default budget is 128 passes per subset, so every
-#: sender count through m = 5 runs (3328 passes) and m = 6 (7296) and
-#: m = 7 (15296) are refused
+#: iterations.  The default budget is 128 passes (1024 gradient steps)
+#: per subset, so every sender count through m = 5 runs (3328 passes)
+#: and m = 6 (7296) and m = 7 (15296) are refused
 MAX_SEARCH_PASSES = 4096
+
+#: gradient steps per descent pass
+STEPS_PER_PASS = 8
 
 _ISOMETRY_TOL = 1e-9
 
@@ -77,8 +81,8 @@ class ExtensionChannel:
 @dataclass(frozen=True)
 class EsqBudget:
     """Search budget: the E-dimension sweep, random restarts per sweep
-    entry, descent passes per restart, and the master seed (restart i
-    draws from the seed pair (seed, i))."""
+    entry, descent passes per restart (``STEPS_PER_PASS`` gradient steps
+    each), and the master seed (restart i draws from (seed, i))."""
 
     d_e_values: tuple[int, ...] = (1, 2, 3, 4)
     restarts: int = 8
@@ -178,26 +182,39 @@ def _embedding_isometry(d_source: int, d_e: int, d_g: int) -> np.ndarray:
 
 def _cond_info_extended(psi: np.ndarray, x_dims: Sequence[int],
                         groups: Sequence[Sequence[int]], isos: np.ndarray,
-                        d_e: int, d_g: int) -> np.ndarray:
+                        d_e: int, d_g: int, grad: bool = False):
     """I(X1;...;Xm|E) of the extension (I (x) V)|psi>, tracing out G,
     for each isometry V of a (B, d_e*d_g, d_source) stack.
 
-    ``psi`` is the purification amplitude matrix (dim_X, d_source).
-    Uses purity of the extended global state: H(X E) = H(G).
+    ``psi`` is the purification amplitude matrix (dim_X, d_source).  By
+    purity of the extended state, H(X E) = H(G), the value is the sum of
+    c H(S) over the terms (S, c) = (Xi E, 1), (G, -1), (E, 1 - m).  With
+    ``grad`` it returns (values, G), G the Euclidean gradients with
+    df = Re Tr(G^† dV): with L_S = log2 rho_S on the support,
+    H(S) = -Tr[rho_S L_S] and dH(S) = -Tr[L_S d rho_S], so each term
+    adds -2 c (L_S (x) I)|ext>, mapped to V by conj(psi).
     """
     ext = psi @ isos.swapaxes(-1, -2)  # (B, dim_X, d_e*d_g)
     dims = list(x_dims) + [d_e, d_g]
     vecs = ext.reshape(len(isos), -1)
     e_ax, g_ax = len(x_dims), len(x_dims) + 1
-
-    def h(keep):
-        return qstate.entropy_of_op(qstate.vector_marginal(vecs, dims, keep))
-
-    h_e = h([e_ax])
-    total = np.zeros(len(isos))
-    for group in groups:
-        total += h(list(group) + [e_ax])
-    return total - h([g_ax]) - (len(groups) - 1) * h_e
+    total, gamma = np.zeros(len(isos)), np.zeros_like(vecs)
+    for keep, c in [(list(group) + [e_ax], 1) for group in groups] \
+            + [([g_ax], -1), ([e_ax], 1 - len(groups))]:
+        m = qstate.marginal_factor(vecs, dims, keep)
+        rho = m @ m.conj().swapaxes(-1, -2)
+        if not grad:
+            total += c * qstate.entropy_of_op(rho)
+            continue
+        ev, u = np.linalg.eigh(qstate.hermitian_part(rho))
+        log_ev = np.log2(np.where(ev > qstate.EIG_CUTOFF, ev, 1.0))
+        lm = (u * log_ev[..., None, :]) @ (u.conj().swapaxes(-1, -2) @ m)
+        total -= c * np.einsum("bij,bij->b", m.conj(), lm).real  # Tr rho L
+        # the factor's entries sit at these flat indices of ``vecs``
+        at = qstate.marginal_factor(np.arange(vecs.shape[1]), dims, keep)
+        gamma[:, at.ravel()] += c * lm.reshape(len(isos), -1)
+    return (total, -2.0 * gamma.reshape(ext.shape).swapaxes(-1, -2)
+            @ psi.conj()) if grad else total
 
 
 def conditional_info_with_extension(state: MultipartyState,
@@ -225,50 +242,37 @@ def conditional_info_with_extension(state: MultipartyState,
 # ---------------------------------------------------------------------------
 # extension search
 
-def _lockstep_descent(objective, starts: np.ndarray, max_passes: int,
-                      step0: float = 0.3) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative-free descent over isometries, all restarts at once.
+def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Tangent projections g - V herm(V^† g) of gradients at isometries V."""
+    vg = v.conj().swapaxes(-1, -2) @ g
+    return g - v @ (vg + vg.conj().swapaxes(-1, -2)) / 2
 
-    Each restart perturbs one entry at a time by +step, -step, +i step,
-    -i step, re-orthonormalizes by polar projection and takes the first
-    probe that improves on its best value; a pass with no improvement
-    halves its step, and it stops once the step falls below 1e-3 or
-    after ``max_passes`` passes.  The restarts advance in lockstep: at
-    each entry the four probes of every running restart go through one
-    stacked SVD and one call of ``objective`` on the stack, which maps
-    (B, rows, cols) isometries to B values.  Every restart makes exactly
-    the moves it would make on its own.
+
+def _riemannian_descent(objective, starts: np.ndarray,
+                        steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Riemannian gradient descent over isometries, all restarts at once.
+
+    ``objective(isos, grad)`` maps a (B, rows, cols) isometry stack to B
+    values, and with ``grad`` to (values, Euclidean gradients).  Each
+    step retracts V - t xi, xi the ``_tangent`` gradient, by its polar
+    factor and keeps the move where the value falls by at least
+    1e-4 t |xi|^2 (Armijo); that restart's step t, 0.3 at first, then
+    grows by 1.5, any other's halves.  A step is one stacked
+    value-and-gradient call, and no restart's value ever rises.  Zero
+    steps score the starts.
     """
     v = np.array(starts, dtype=complex)
-    best = objective(v)
-    step = np.full(len(v), step0)
-    running = np.ones(len(v), dtype=bool)
-    shape = v.shape[1:]
-    for _ in range(max(0, max_passes)):
-        rows = np.flatnonzero(running)
-        if not rows.size:
-            break
-        improved = np.zeros(len(v), dtype=bool)
-        # Python complex arithmetic, as in a scalar loop, fixes the
-        # signed zeros of each delta
-        deltas = np.array([(s, -s, 1j * s, -1j * s)
-                           for s in step[rows].tolist()])
-        for idx in np.ndindex(*shape):
-            probes = np.repeat(v[rows, None], 4, axis=1)
-            probes[(slice(None), slice(None)) + idx] += deltas
-            probes = _polar_isometry(probes.reshape(-1, *shape))
-            vals = objective(probes).reshape(len(rows), 4)
-            better = vals < best[rows, None] - 1e-12
-            hit = better.any(axis=1)
-            first = better.argmax(axis=1)[hit]
-            moved = rows[hit]
-            v[moved] = probes.reshape(len(rows), 4, *shape)[hit, first]
-            best[moved] = vals[hit, first]
-            improved[moved] = True
-        halve = running & ~improved
-        step[halve] *= 0.5
-        running &= ~(halve & (step < 1e-3))
-    return v, best
+    if steps < 1:
+        return v, objective(v, False)
+    f, g = objective(v, True)
+    xi, t = _tangent(v, g), np.full(len(v), 0.3)
+    for _ in range(steps):
+        trial = _polar_isometry(v - t[:, None, None] * xi)
+        f_t, g_t = objective(trial, True)
+        ok = f_t <= f - 1e-4 * t * (np.abs(xi) ** 2).sum(axis=(1, 2))
+        v[ok], f[ok], xi[ok] = trial[ok], f_t[ok], _tangent(trial[ok], g_t[ok])
+        t = np.where(ok, 1.5 * t, 0.5 * t)
+    return v, f
 
 
 def esq_upper_bound(state: MultipartyState,
@@ -280,20 +284,19 @@ def esq_upper_bound(state: MultipartyState,
     when the state carries mixture provenance, and random-restart
     optimized isometries over the d_E sweep (restart 0 of each sweep
     entry starts from the purifier-eigenbasis dephasing).  The restarts
-    of each sweep entry descend in lockstep, scored as one stack by
-    ``_cond_info_extended``; the first smallest wins, and only it becomes
-    an orthonormality-checked ``ExtensionChannel``.  The baseline, the
+    of each sweep entry descend as one stack (``_riemannian_descent``);
+    the first smallest wins, and only it becomes an
+    orthonormality-checked ``ExtensionChannel``.  The baseline, the
     flag and that channel are scored by ``conditional_info_with_extension``,
     which supplies the reported value: half the smallest conditional
     information found, clamped to [0, baseline]; deterministic given the
     budget seed.
     """
     groups = qstate.part_groups(state, parts)
-    d_x = state.dim
     for d_e in budget.d_e_values:
-        if d_e >= 1 and d_x * d_e * d_e > ESQ_DIM_CAP:
+        if d_e >= 1 and state.dim * d_e * d_e > ESQ_DIM_CAP:
             raise EsqError(f"d_E = {d_e} exceeds the dimension cap for a "
-                           f"state of dimension {d_x}")
+                           f"state of dimension {state.dim}")
         if d_e < 1:
             raise EsqError("d_E values must be >= 1")
     psi, r = qstate.purification_vector(state)
@@ -304,34 +307,31 @@ def esq_upper_bound(state: MultipartyState,
                                                               best_ch)
     if state.provenance is not None:
         nb = len(state.provenance)
-        if d_x * nb * nb <= ESQ_DIM_CAP:
+        if state.dim * nb * nb <= ESQ_DIM_CAP:
             flag = classical_flag_channel(state)
             raw = conditional_info_with_extension(state, parts, flag)
             if raw < best_raw:
                 best_ch, best_raw = flag, raw
 
-    winner = None  # (d_e, isometry) of the best descent, once one leads
-    for d_e in sorted(set(budget.d_e_values)):
-        d_g = d_e
-        if d_e * d_g < r or budget.restarts < 1:
+    winner = None  # (d_e, d_g, isometry) of the best descent, if any leads
+    for d_e in sorted(set(budget.d_e_values)):  # d_G = d_E
+        if d_e * d_e < r or budget.restarts < 1:
             continue  # no isometry from the purifier exists, or no restarts
-        starts = [_embedding_isometry(r, d_e, d_g)]
-        for restart in range(1, budget.restarts):
-            rng = np.random.default_rng([budget.seed, restart])
-            g = rng.standard_normal((d_e * d_g, r)) \
-                + 1j * rng.standard_normal((d_e * d_g, r))
-            starts.append(_polar_isometry(g))
-        vs, raws = _lockstep_descent(
-            lambda isos: _cond_info_extended(psi, state.dims, groups, isos,
-                                             d_e, d_g),
-            np.stack(starts), budget.iterations)
+        # restart i draws its real and imaginary parts from (seed, i)
+        starts = [_embedding_isometry(r, d_e, d_e)] + [
+            _polar_isometry(g[0] + 1j * g[1]) for g in (
+                np.random.default_rng([budget.seed, i]).standard_normal(
+                    (2, d_e * d_e, r)) for i in range(1, budget.restarts))]
+        vs, raws = _riemannian_descent(
+            lambda isos, grad: _cond_info_extended(
+                psi, state.dims, groups, isos, d_e, d_e, grad),
+            np.stack(starts), STEPS_PER_PASS * budget.iterations)
         i = int(np.argmin(raws))
         if raws[i] < best_raw:
-            best_raw, winner = float(raws[i]), (d_e, vs[i])
+            best_raw, winner = float(raws[i]), (d_e, d_e, vs[i])
 
     if winner is not None:
-        d_e, v = winner
-        best_ch = ExtensionChannel(src, d_e, d_e, v, "parameterized")
+        best_ch = ExtensionChannel(src, *winner, "parameterized")
         # the reported value comes from the checked channel's own copy
         best_raw = conditional_info_with_extension(state, parts, best_ch)
     baseline = max(0.0, 0.5 * baseline_raw)
