@@ -32,9 +32,9 @@ MAX_RESTARTS = 1000
 #: most descent passes one esq or classify run may start: d_E sweep
 #: entries summed over the searched subsets, times restarts, times
 #: iterations.  The default budget is 128 passes (1024 gradient steps)
-#: per subset, so every sender count through m = 5 runs (3328 passes)
-#: and m = 6 (7296) and m = 7 (15296) are refused
-MAX_SEARCH_PASSES = 4096
+#: per subset, about 1 ms per pass, so every sender count through m = 7
+#: runs (15296 passes, 15 s) and m = 8 (31040) is refused
+MAX_SEARCH_PASSES = 16384
 
 #: gradient steps per descent pass
 STEPS_PER_PASS = 8

@@ -214,6 +214,26 @@ def _product_fidelity(m: np.ndarray, sigma_a: np.ndarray,
     return np.clip(s.sum(-1) ** 2, 0.0, 1.0)
 
 
+def _split_errors(vecs: np.ndarray, dims: Sequence[int], ref_pos: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Decoupling errors of a stack of amplitude vectors on ``dims``, the
+    sent part A1 and the kept part A2 leading: per vector, the normalized
+    trace distance and the fidelity between the A2/reference joint and
+    the product of its marginals."""
+    d_a2, d_ref = dims[1], dims[ref_pos]
+    # joint = M M^dagger, M's rows kept A2 x reference
+    m = qstate.marginal_factor(vecs, dims, [1, ref_pos])
+    joint = m @ m.conj().swapaxes(-1, -2)
+    j5 = joint.reshape(-1, d_a2, d_ref, d_a2, d_ref)
+    sigma_a2 = np.trace(j5, axis1=2, axis2=4)
+    sigma_r = np.trace(j5, axis1=1, axis2=3)
+    # J - P in place, so no product operator outlives this line
+    joint -= (sigma_a2[:, :, None, :, None]
+              * sigma_r[:, None, :, None, :]).reshape(joint.shape)
+    return qstate.trace_norm(joint) / 2.0, _product_fidelity(m, sigma_a2,
+                                                             sigma_r)
+
+
 def decoupling_curve(state: MultipartyState, sender: str, reference: str,
                      n: int, grid: Sequence[float], trials: int, seed: int,
                      typical_delta: float | None = None) -> DecouplingCurve:
@@ -227,6 +247,12 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     the product of its marginals; the purifier is traced out with the
     rest.  Rates are quantized to whole qubits (fractional nQ floored,
     with a note).  Trial t uses the seed pair (seed, t).
+
+    Points that send nothing or the whole block do not depend on the
+    unitary (it acts on the kept part alone, or on nothing kept), so
+    each is evaluated once on the unrotated vector and reports that
+    value with a zero standard error; a grid of such points alone makes
+    no draw.
     """
     s_idx = state.index_of(sender)
     r_idx = state.index_of(reference)
@@ -280,35 +306,40 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
         vec = (proj.projector @ vec.reshape(block, rest)).reshape(-1)
         vec = vec / np.linalg.norm(vec)
 
-    # the largest array a trial adds: its draw, its vector or a joint
-    per_trial = 16 * max(block * block, vec.size, d_joint * d_joint)
-    chunk = max(1, TRIAL_CHUNK_BYTES // per_trial)
-    dists = np.zeros((len(splits), trials))
-    fids = np.zeros((len(splits), trials))
-    for t0 in range(0, trials, chunk):
-        t1 = min(t0 + chunk, trials)
-        us = haar_unitaries(block, [[seed, t] for t in range(t0, t1)])
-        rotated = (us @ vec.reshape(block, rest)).reshape(t1 - t0, -1)
-        for gi, (q, nq) in enumerate(splits):
-            d_a1 = 2 ** nq
-            d_a2 = block // d_a1
-            # joint = M M^dagger, M's rows kept A2 x reference
-            m = qstate.marginal_factor(rotated, [d_a1, d_a2] + rest_dims,
-                                       [1, ref_pos])
-            joint = m @ m.conj().swapaxes(-1, -2)
-            j5 = joint.reshape(-1, d_a2, d_ref, d_a2, d_ref)
-            sigma_a2 = np.trace(j5, axis1=2, axis2=4)
-            sigma_r = np.trace(j5, axis1=1, axis2=3)
-            # J - P in place, so no product operator outlives this line
-            joint -= (sigma_a2[:, :, None, :, None]
-                      * sigma_r[:, None, :, None, :]).reshape(joint.shape)
-            dists[gi, t0:t1] = qstate.trace_norm(joint) / 2.0
-            fids[gi, t0:t1] = _product_fidelity(m, sigma_a2, sigma_r)
+    def split_dims(nq):
+        return [2 ** nq, block // 2 ** nq] + rest_dims
 
-    stderr = dists.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 \
-        else np.zeros(len(splits))
+    # nothing sent or everything sent: the draw acts on A2 alone, which
+    # leaves the distance and fidelity unchanged, or on nothing that is
+    # kept, so one evaluation of the unrotated vector serves every trial
+    mean_d, stderr, mean_f = np.zeros((3, len(splits)))
+    drawn = []
+    for gi, (_, nq) in enumerate(splits):
+        if nq == 0 or 2 ** nq == block:
+            d, f = _split_errors(vec[None], split_dims(nq), ref_pos)
+            mean_d[gi], mean_f[gi] = d[0], f[0]
+        else:
+            drawn.append(gi)
+    if drawn:
+        # the largest array a drawn trial adds: its draw, its vector or a
+        # joint
+        d_drawn = block // 2 ** min(splits[gi][1] for gi in drawn) * d_ref
+        per_trial = 16 * max(block * block, vec.size, d_drawn * d_drawn)
+        chunk = max(1, TRIAL_CHUNK_BYTES // per_trial)
+        dists = np.zeros((len(drawn), trials))
+        fids = np.zeros((len(drawn), trials))
+        for t0 in range(0, trials, chunk):
+            t1 = min(t0 + chunk, trials)
+            us = haar_unitaries(block, [[seed, t] for t in range(t0, t1)])
+            rotated = (us @ vec.reshape(block, rest)).reshape(t1 - t0, -1)
+            for row, gi in enumerate(drawn):
+                dists[row, t0:t1], fids[row, t0:t1] = _split_errors(
+                    rotated, split_dims(splits[gi][1]), ref_pos)
+        mean_d[drawn], mean_f[drawn] = dists.mean(axis=1), fids.mean(axis=1)
+        if trials > 1:
+            stderr[drawn] = dists.std(axis=1, ddof=1) / math.sqrt(trials)
     points = tuple(CurvePoint(q, nq, trials, float(m), float(e), float(f))
-                   for (q, nq), m, e, f in zip(splits, dists.mean(axis=1),
-                                               stderr, fids.mean(axis=1)))
+                   for (q, nq), m, e, f in zip(splits, mean_d, stderr,
+                                               mean_f))
     return DecouplingCurve(state, sender, reference, n, int(seed), delta,
                            retained, tuple(notes), points)

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qregion as qr
 from qregion.cli import run_command
 from qregion.hrep import export_h_representation, parse_h_representation
 from qregion.region import RegionConstants, nonempty_subsets
 
-from helpers import ghz_state, random_mixture_spec
+from helpers import ghz_state, random_mixture_spec, random_sender_state
 
 GHZ_TEXT = "{family: ghz, labels: [A1, A2, R], dims: [2, 2, 2], reference: R}\n"
 BELL_SENDERS_TEXT = ("{family: bell, labels: [A1, A2, R], dims: [2, 2, 1], "
@@ -50,6 +52,20 @@ def test_hrep_round_trip():
     assert back.reference == rc.reference
     for subset in nonempty_subsets(rc.senders):
         assert abs(back.value(subset) - rc.value(subset)) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((2, 4)))
+def test_hrep_round_trip_property(m, seed, d_ref):
+    # 17 significant digits round-trip every double exactly
+    rc = qr.region_constants(random_sender_state(m, seed, d_ref=d_ref), "R")
+    text = export_h_representation(rc)
+    back = parse_h_representation(text)
+    assert back.senders == rc.senders
+    assert back.reference == rc.reference
+    assert np.array_equal(back.table, rc.table)
+    assert export_h_representation(back) == text
 
 
 def test_hrep_zero_constants():
@@ -396,27 +412,27 @@ def test_work_caps_reject_before_any_search(tmp_path, capsys, command, flags,
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("esq", []), ("classify", ["--point", ",".join(["1"] * 7)]),
+    ("esq", []), ("classify", ["--point", ",".join(["1"] * 8)]),
 ], ids=["esq", "classify"])
-def test_esq_work_guard_refuses_seven_senders_before_any_search(
+def test_esq_work_guard_refuses_eight_senders_before_any_search(
         tmp_path, capsys, monkeypatch, command, flags):
     def unreachable(*args):
         raise AssertionError("an E_sq search started")
 
     monkeypatch.setattr(qr.esq, "esq_upper_bound", unreachable)
     monkeypatch.setattr(qr.qstate, "reduced_state", unreachable)
-    labels = [f"A{i + 1}" for i in range(7)] + ["R"]
-    spec = tmp_path / "r7.spec"
+    labels = [f"A{i + 1}" for i in range(8)] + ["R"]
+    spec = tmp_path / "r8.spec"
     spec.write_text(json.dumps({"family": "random_pure", "labels": labels,
-                                "dims": [2] * 8, "seed": 7,
+                                "dims": [2] * 9, "seed": 8,
                                 "reference": "R"}))
     out = tmp_path / "r.json"
-    # the default budget: 478 d_E values over 120 subsets, 8 restarts and
+    # the default budget: 970 d_E values over 247 subsets, 8 restarts and
     # 4 iterations each
     assert run_command([command, "--state", str(spec), "--out", str(out)]
                        + flags) == 2
     err = capsys.readouterr().err
-    assert "search work of 15296 descent passes" in err
+    assert "search work of 31040 descent passes" in err
     assert f"exceeds the cap {qr.esq.MAX_SEARCH_PASSES}" in err
     assert "--restarts" in err and "--iterations" in err
     assert not out.exists()

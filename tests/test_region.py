@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qregion as qr
 from qregion import region
@@ -255,6 +257,29 @@ def test_greedy_equals_lp_oracle_sample():
         best = min(float(v.as_array() @ costs)
                    for v in qr.enumerate_vertices(rc).vertices)
         assert abs(val - best) <= 1e-8
+
+
+@st.composite
+def _states_and_costs(draw):
+    m = draw(st.integers(2, 5))
+    state = random_sender_state(m, draw(st.integers(0, 2 ** 32 - 1)),
+                                d_ref=draw(st.sampled_from((2, 4, 2 ** m))))
+    costs = draw(st.lists(st.floats(1e-3, 10.0), min_size=m, max_size=m))
+    return state, costs
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_states_and_costs())
+def test_greedy_equals_minimum_over_corner_set(case):
+    # a positive cost attains its minimum at a vertex, and the vertices
+    # of the inner region are its corner points
+    state, costs = case
+    rc = qr.region_constants(state, "R")
+    point, val = qr.greedy_minimize(rc, costs)
+    best = float((qr.corner_set(rc).arrays() @ costs).min())
+    assert abs(val - best) <= 1e-9 * (1.0 + abs(best))
+    assert abs(val - float(point.as_array() @ costs)) <= 1e-12 * (1.0 + val)
+    assert qr.membership(rc, point).verdict != "outside"
 
 
 def test_corner_set_rejects_more_than_seven_senders():

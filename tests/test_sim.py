@@ -318,6 +318,62 @@ def test_decoupling_curve_is_independent_of_the_chunk_size(monkeypatch,
         assert qr.decoupling_curve(*args, **kw).to_csv() == default
 
 
+def _endpoint_cases():
+    # (state, sender, n, interior grid, keyword arguments)
+    mix = random_mixture_state(np.random.default_rng(1), ("A", "R"), (2, 2))
+    return {
+        "bell": (bell_state(), "A", 3, [1 / 3, 2 / 3],
+                 dict(trials=9, seed=6)),
+        "mixture-delta": (mix, "A", 3, [1 / 3, 2 / 3],
+                          dict(trials=30, seed=2, typical_delta=0.2)),
+        "three-label": (random_sender_state(2, 5, d_ref=2), "A2", 2, [0.5],
+                        dict(trials=30, seed=4)),
+    }
+
+
+@pytest.mark.parametrize("case", ["bell", "mixture-delta", "three-label"])
+def test_endpoint_only_grid_makes_no_draw(monkeypatch, case):
+    # nothing sent or everything sent: the draw cannot change the value
+    state, sender, n, _, kw = _endpoint_cases()[case]
+    ref = _operator_reference(state, sender, "R", n, [0.0, 1.0],
+                              **dict(kw, trials=2))
+
+    def unreachable(*args):
+        raise AssertionError("a Haar unitary was drawn")
+
+    monkeypatch.setattr(sim, "haar_unitaries", unreachable)
+    curve = qr.decoupling_curve(state, sender, "R", n, [0.0, 1.0], **kw)
+    for point, (mean, _, fid) in zip(curve.points, ref):
+        assert abs(point.mean_dist - mean) <= 1e-12
+        assert abs(point.mean_fid - fid) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["bell", "mixture-delta", "three-label"])
+def test_interior_rows_do_not_depend_on_the_endpoints(case):
+    state, sender, n, interior, kw = _endpoint_cases()[case]
+    alone = qr.decoupling_curve(state, sender, "R", n, interior, **kw)
+    framed = qr.decoupling_curve(state, sender, "R", n,
+                                 [0.0] + interior + [1.0], **kw)
+    assert framed.to_csv().splitlines()[2:-1] \
+        == alone.to_csv().splitlines()[1:]
+
+
+@pytest.mark.parametrize("case", ["bell", "mixture-delta", "three-label"])
+def test_draw_independent_points_have_zero_stderr(case):
+    state, sender, n, interior, kw = _endpoint_cases()[case]
+    grid = [0.0] + interior + [1.0]
+    curve = qr.decoupling_curve(state, sender, "R", n, grid, **kw)
+    single = qr.decoupling_curve(state, sender, "R", n, grid,
+                                 **dict(kw, trials=1))
+    for i in (0, -1):
+        point, one = curve.points[i], single.points[i]
+        assert point.stderr_dist == 0.0
+        assert point.mean_dist == one.mean_dist
+        assert point.mean_fid == one.mean_fid
+    # the drawn points still spread over the trials
+    assert all(p.stderr_dist > 0.0 for p in curve.points[1:-1])
+
+
 def test_typical_projection_rejects_non_finite_delta():
     bell = bell_state()
     for delta in (float("nan"), float("inf"), -0.1):
