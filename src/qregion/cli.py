@@ -12,9 +12,9 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import json
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -29,30 +29,50 @@ def subset_name(subset) -> str:
     return "+".join(sorted(subset))
 
 
+#: formatters of the leaf types; a subclass takes its nearest base's
+_LEAVES = {
+    str: encode_basestring_ascii,
+    float: "{:.12g}".format,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
+
+
+def _leaf(value) -> str:
+    """A scalar by the first type of its MRO in ``_LEAVES``, else as
+    the quoted ``str(value)`` (so ``np.float64`` is a number and
+    ``np.int64`` a string)."""
+    for cls in type(value).__mro__:
+        fmt = _LEAVES.get(cls)
+        if fmt is not None:
+            return fmt(value)
+    return encode_basestring_ascii(str(value))
+
+
 def _emit(value, indent: int = 0) -> str:
     """Deterministic JSON with floats at 12 significant digits and the
-    insertion order of mappings preserved."""
+    insertion order of mappings preserved.
+
+    A value of an exact leaf type is formatted straight from
+    ``_LEAVES``; a scalar of any other type goes through ``_leaf``.
+    """
+    fmt = _LEAVES.get(type(value))
+    if fmt is not None:
+        return fmt(value)
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f'{pad}  {json.dumps(str(k))}: {_emit(v, indent + 1)}'
-                 for k, v in value.items()]
+        items = [f"{pad}  {encode_basestring_ascii(str(k))}: "
+                 f"{_emit(v, indent + 1)}" for k, v in value.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         items = [f"{pad}  {_emit(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if value is None:
-        return "null"
-    return json.dumps(str(value))
+    return _leaf(value)
 
 
 def _load_state(path: str):

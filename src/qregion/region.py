@@ -191,12 +191,18 @@ def region_constants(state: MultipartyState,
         warnings.warn("input state is not pure (purity "
                       f"{state.purity():.6f}); the inner bound assumes a "
                       "pure global state", stacklevel=2)
-    h_single = {lab: qstate.entropy(state, {lab}) for lab in senders}
-    h_ref = qstate.entropy(state, {reference})
-    return RegionConstants(senders, reference, {
-        s: 0.5 * (sum(h_single[lab] for lab in senders if lab in s) + h_ref
-                  - qstate.entropy(state, set(s) | {reference}))
-        for s in nonempty_subsets(senders)})
+    m = len(senders)
+    subsets = [[lab for i, lab in enumerate(senders) if mask >> i & 1]
+               for mask in range(1, 1 << m)]  # bit i stands for senders[i]
+    h = qstate.entropies(state, [[lab] for lab in senders] + [[reference]]
+                         + [s + [reference] for s in subsets])
+    h_single, h_ref, h_joint = h[:m], h[m], h[m + 1:]
+    # sum of h_single over each mask, added in sender order
+    h_sum = np.zeros(1 << m)
+    for i in range(m):
+        h_sum[1 << i:2 << i] = h_sum[:1 << i] + h_single[i]
+    return RegionConstants(senders, reference, dict(zip(
+        map(frozenset, subsets), 0.5 * (h_sum[1:] + h_ref - h_joint))))
 
 
 def _corner_rates(rc: RegionConstants, perms: np.ndarray) -> np.ndarray:
@@ -227,16 +233,28 @@ def corner_point(rc: RegionConstants, perm: Sequence[str]) -> RatePoint:
     return RatePoint(rc.senders, tuple(rates), witness=tuple(perm))
 
 
+def _first_primes(n: int) -> list[int]:
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def corner_set(rc: RegionConstants) -> VRegion:
     """All corner points over the m! permutations, deduplicated.
 
     Permutations are visited in lexicographic label order, and a point
     within Chebyshev distance ``DEDUP_TOL`` of an earlier kept one is
     dropped, so each retained point carries the lexicographically
-    smallest witness.  Only kept points whose first rate lies within
-    ``2 DEDUP_TOL`` of the new point's are compared (a window found by
-    bisection on the sorted first rates); any point outside it differs
-    by more than ``DEDUP_TOL`` in that rate alone.
+    smallest witness.  Only kept points whose key ``rates @ w`` lies
+    within ``2 DEDUP_TOL |w|_1`` of the new point's are compared (a
+    window found by bisection on the sorted keys); any point outside it
+    differs by more than ``DEDUP_TOL`` in some rate.  Every corner has
+    the same rate sum, so ``w`` is not uniform: the square roots of the
+    first m primes, which keep distinct rational rate vectors apart.
     """
     if rc.m > MAX_CORNER_SENDERS:
         raise RegionError(f"corner enumeration limited to m ≤ "
@@ -245,18 +263,19 @@ def corner_set(rc: RegionConstants) -> VRegion:
     perms = np.array(list(itertools.permutations(
         sorted(range(rc.m), key=rc.senders.__getitem__))))
     rates = _corner_rates(rc, perms)
-    tol = DEDUP_TOL
+    weights = np.sqrt(_first_primes(rc.m))
+    reach = 2 * DEDUP_TOL * weights.sum()
     kept = []
-    firsts, by_first = [], []  # kept first rates, sorted, and their rows
-    for k, first in enumerate(rates[:, 0].tolist()):
-        window = by_first[bisect.bisect_left(firsts, first - 2 * tol):
-                          bisect.bisect_right(firsts, first + 2 * tol)]
-        if (not window
-                or np.abs(rates[window] - rates[k]).max(axis=1).min() > tol):
+    keys, by_key = [], []  # kept keys, sorted, and their rows
+    for k, key in enumerate((rates @ weights).tolist()):
+        window = by_key[bisect.bisect_left(keys, key - reach):
+                        bisect.bisect_right(keys, key + reach)]
+        if (not window or np.abs(rates[window] - rates[k]).max(axis=1).min()
+                > DEDUP_TOL):
             kept.append(k)
-            at = bisect.bisect_right(firsts, first)
-            firsts.insert(at, first)
-            by_first.insert(at, k)
+            at = bisect.bisect_right(keys, key)
+            keys.insert(at, key)
+            by_key.insert(at, k)
     rows, orders = rates.tolist(), perms.tolist()
     return VRegion(rc.senders, tuple(
         RatePoint(rc.senders, tuple(rows[k]),

@@ -10,6 +10,7 @@ mappings, e.g.::
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -174,16 +175,40 @@ def _as_ket(entry, field: str) -> tuple[complex, ...]:
     return tuple(_as_amplitude(a, field) for a in entry)
 
 
-def parse_state_spec(text: str) -> StateSpec:
-    """Parse a UTF-8 state-spec document into a validated StateSpec."""
+#: libyaml's loader where PyYAML was built with it, with the resolver and
+#: constructor of ``yaml.SafeLoader``
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+#: documents ``_LOADER`` may parse: ASCII without tab, CR, tag (``!``),
+#: anchor or alias (``&``, ``*``), explicit key (``?``), block scalar
+#: (``|``, ``>``), directive (``%``) or escape (``\``).  libyaml accepts
+#: some tabs, ``?`` and ``!`` that the pure-Python scanner rejects or
+#: reads otherwise; on this alphabet the two agree or libyaml rejects.
+_LIBYAML_SAFE = re.compile(r"[A-Za-z0-9 \n,:\[\]{}\"'._+#-]*")
+
+
+def _load(text: str):
+    """The document's value as ``yaml.SafeLoader`` reads it.  A document
+    that fails to parse is diagnosed by that loader, whose messages
+    (unlike libyaml's) the exit-2 errors quote."""
+    if _LIBYAML_SAFE.fullmatch(text):
+        try:
+            return yaml.load(text, Loader=_LOADER)
+        except yaml.YAMLError:
+            pass
     try:
-        raw = yaml.safe_load(text)
+        return yaml.load(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as err:
         line = None
         mark = getattr(err, "problem_mark", None)
         if mark is not None:
             line = mark.line + 1
         raise SpecError("document", f"not parseable: {err}", line=line)
+
+
+def parse_state_spec(text: str) -> StateSpec:
+    """Parse a UTF-8 state-spec document into a validated StateSpec."""
+    raw = _load(text)
     if not isinstance(raw, dict):
         raise SpecError("document", "top level must be a mapping")
 

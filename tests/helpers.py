@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -125,6 +126,30 @@ def entropy_reference(op):
     if ev.size == 0:
         return 0.0
     return float(-(ev * np.log2(ev)).sum())
+
+
+def mask_entropy_reference(state, mask):
+    """Entropy of the marginal on one label set, read from ``psi`` on the
+    smaller of the mask and its complement plus the purifier."""
+    idx = state.indices_of(mask)
+    dims = list(state.dims) + [state.psi.shape[1]]
+    d_mask = int(np.prod([dims[i] for i in idx]))
+    side = idx
+    if d_mask > state.dim // d_mask * dims[-1]:
+        side = [i for i in range(len(dims)) if i not in idx]
+    return float(qstate.entropy_of_op(
+        qstate.vector_marginal(state.psi.reshape(-1), dims, side)))
+
+
+def region_constants_reference(state, reference):
+    """C_K table from one entropy solve per mask, summed in sender order."""
+    senders = tuple(lab for lab in state.labels if lab != reference)
+    h_single = {lab: mask_entropy_reference(state, {lab}) for lab in senders}
+    h_ref = mask_entropy_reference(state, {reference})
+    return region.RegionConstants(senders, reference, {
+        s: 0.5 * (sum(h_single[lab] for lab in senders if lab in s) + h_ref
+                  - mask_entropy_reference(state, set(s) | {reference}))
+        for s in region.nonempty_subsets(senders)})
 
 
 def trace_norm_reference(m):
@@ -304,3 +329,33 @@ def corner_set_reference(rc, tol=region.DEDUP_TOL):
         region.RatePoint(rc.senders, tuple(rates[k].tolist()),
                          witness=tuple(rc.senders[i] for i in perms[k]))
         for k in kept))
+
+
+# ---------------------------------------------------------------------------
+# report reference: the recursive emitter that ``cli._emit`` replaced
+
+def emit_reference(value, indent=0):
+    """Deterministic JSON with floats at 12 significant digits and the
+    insertion order of mappings preserved, one isinstance chain per
+    value."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f'{pad}  {json.dumps(str(k))}: '
+                 f'{emit_reference(v, indent + 1)}' for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [f"{pad}  {emit_reference(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if value is None:
+        return "null"
+    return json.dumps(str(value))

@@ -4,6 +4,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qregion as qr
-from qregion.cli import run_command
+from qregion.cli import _emit, run_command
 from qregion.hrep import export_h_representation, parse_h_representation
 from qregion.region import RegionConstants, nonempty_subsets
 
-from helpers import ghz_state, random_mixture_spec, random_sender_state
+from helpers import (emit_reference, ghz_state, random_mixture_spec,
+                     random_sender_state)
 
 GHZ_TEXT = "{family: ghz, labels: [A1, A2, R], dims: [2, 2, 2], reference: R}\n"
 BELL_SENDERS_TEXT = ("{family: bell, labels: [A1, A2, R], dims: [2, 2, 1], "
@@ -549,3 +551,50 @@ def test_reports_share_one_header_and_write_only_on_success(
     assert run_command([command, "--state", str(bad), "--out",
                         str(bad_out)] + bad_flags) == 2
     assert not bad_out.exists()
+
+
+# The report emitter against the recursive isinstance-chain reference.
+
+_KEYS = st.text(max_size=6) | st.sampled_from(
+    ["naïve", "Ψ", "😀", 'say "hi"', "back\\slash", "tab\t", ""])
+_LEAF_VALUES = (
+    st.text(max_size=8) | st.sampled_from(['"quoted"', "ünïcode", "\x00"])
+    | st.floats() | st.sampled_from([3.0, -0.0, 1e-300, 1e16, 2.5e-7])
+    | st.booleans() | st.integers() | st.none()
+    | st.floats().map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(
+        np.int64) | st.booleans().map(np.bool_))
+_REPORT_VALUES = st.recursive(
+    _LEAF_VALUES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_REPORT_VALUES)
+def test_emit_matches_the_reference_emitter(value):
+    assert _emit(value) == emit_reference(value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from(["region", "corners", "greedy"]), st.integers(2, 5),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from((2, 4)))
+def test_inner_reports_are_byte_identical_across_runs(command, m, seed,
+                                                      d_ref):
+    labels = [f"A{i + 1}" for i in range(m)] + ["R"]
+    spec = json.dumps({"family": "random_pure", "labels": labels,
+                       "dims": [2] * m + [d_ref], "seed": seed,
+                       "reference": "R"})
+    flags = ["--costs", ",".join(str(1 + i) for i in range(m))] \
+        if command == "greedy" else []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.spec"
+        path.write_text(spec + "\n")
+        texts = []
+        for run in ("a", "b"):
+            out = Path(tmp) / f"{run}.json"
+            assert run_command([command, "--state", str(path), "--out",
+                                str(out), "--seed", "3"] + flags) == 0
+            texts.append(_strip_timestamp(out.read_text()))
+    assert texts[0] == texts[1]

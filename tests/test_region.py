@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qregion as qr
-from qregion import region
+from qregion import qstate, region
 from qregion.region import (DEDUP_TOL, FEAS_TOL, RatePoint,
                             RegionConstants, RegionError, SaturatedSystem,
                             nonempty_subsets)
@@ -15,7 +15,8 @@ from qregion.statespec import StateSpec
 
 from helpers import (_row_rank, bell_between_senders, bell_with_spectator,
                      corner_set_reference, enumerate_vertices_reference,
-                     ghz_state, product_state, random_sender_state)
+                     ghz_state, product_state, random_mixture_state,
+                     random_sender_state, region_constants_reference)
 
 
 def fs(*labels):
@@ -406,8 +407,14 @@ def test_windowed_corner_set_matches_full_scan(monkeypatch):
     cases = list(_equivalence_cases())
     cases.append(("random m=7", qr.region_constants(
         random_sender_state(7, 3007, d_ref=2), "R")))
-    # first rates shared by many corners, so windows are wide
+    # many corners coincide, so most points fall on a kept one
     cases.append(("zero m=5", zero_constants(5)))
+    for m in (4, 5, 6):
+        labels = tuple(f"A{i + 1}" for i in range(m)) + ("R",)
+        cases.append((f"ghz m={m}", qr.region_constants(ghz_state(labels),
+                                                        "R")))
+    cases.append(("product m=5", qr.region_constants(product_state(
+        tuple(f"A{i + 1}" for i in range(5)) + ("R",)), "R")))
     for name, rc in cases:
         for tol in (DEDUP_TOL, 1e-2):
             monkeypatch.setattr(region, "DEDUP_TOL", tol)
@@ -442,3 +449,47 @@ def test_enumerate_vertices_block_size_does_not_change_output(monkeypatch):
 def test_rate_point_rejects_non_finite_rates(bad):
     with pytest.raises(RegionError, match="rates must be finite"):
         RatePoint(("A1", "A2"), (0.5, bad))
+
+
+# Stacked region entropies against one entropy solve per mask: the same
+# constants bit for bit.
+
+def _region_constants_cases():
+    for m in range(1, 8):
+        for d_ref in (1, 2, 8):
+            yield (f"random m={m} d_ref={d_ref}",
+                   random_sender_state(m, 70 * m + d_ref, d_ref=d_ref))
+    for m in (2, 3, 4, 5):
+        labels = tuple(f"A{i + 1}" for i in range(m)) + ("R",)
+        yield f"ghz m={m}", ghz_state(labels)
+        yield f"product m={m}", product_state(labels)
+    yield "w m=4", qr.build_state(StateSpec(
+        family="w", labels=("A1", "A2", "A3", "A4", "R"), dims=(2,) * 5,
+        reference="R"))
+    yield "bell with spectator", bell_with_spectator()
+    yield "bell between senders", bell_between_senders()
+    yield "mixture", random_mixture_state(np.random.default_rng(5),
+                                          ("A1", "A2", "R"), (2, 3, 2))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.filterwarnings("ignore:input state is not pure")
+def test_region_constants_match_per_mask_reference():
+    for name, state in _region_constants_cases():
+        got = qr.region_constants(state, "R")
+        want = region_constants_reference(state, "R")
+        assert got.senders == want.senders, name
+        assert _same_bits(got.table, want.table), name
+
+
+@pytest.mark.filterwarnings("ignore:input state is not pure")
+def test_region_constants_block_size_does_not_change_output(monkeypatch):
+    cases = list(_region_constants_cases())
+    want = [qr.region_constants(state, "R").table for _, state in cases]
+    monkeypatch.setattr(qstate, "ENTROPY_BLOCK_BYTES", 1)  # one per block
+    for (name, state), table in zip(cases, want):
+        assert _same_bits(qr.region_constants(state, "R").table, table), name
