@@ -13,13 +13,9 @@ from .qstate import (  # noqa: F401
     StateError,
     build_state,
     entropy,
-    fidelity,
     multiparty_info,
-    normalized_trace_distance,
-    purify,
     random_pure_state,
     reduced_state,
-    trace_norm_distance,
 )
 from .region import (  # noqa: F401
     ChainFamily,
@@ -55,7 +51,6 @@ from .sim import (  # noqa: F401
     DecouplingCurve,
     decoupling_curve,
     haar_unitary,
-    ncopy_state,
     typical_projection,
 )
 from .statespec import SpecError, StateSpec, parse_state_spec  # noqa: F401

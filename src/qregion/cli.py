@@ -36,13 +36,15 @@ _LEAVES = {
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda v: "null",
+    np.integer: str,
+    np.bool_: {True: "true", False: "false"}.__getitem__,
 }
 
 
 def _leaf(value) -> str:
     """A scalar by the first type of its MRO in ``_LEAVES``, else as
-    the quoted ``str(value)`` (so ``np.float64`` is a number and
-    ``np.int64`` a string)."""
+    the quoted ``str(value)`` (so ``np.float64`` and ``np.int64`` are
+    numbers and ``np.bool_`` a boolean)."""
     for cls in type(value).__mro__:
         fmt = _LEAVES.get(cls)
         if fmt is not None:

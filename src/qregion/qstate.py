@@ -3,10 +3,10 @@
 States are labeled density operators on a tensor product of small
 Hilbert spaces, each stored with its canonical minimal purification.
 The module provides construction of named families, marginals and
-reduced states read from the purification, von Neumann entropies,
-multiparty information, fidelity, trace distance and purification.
-The marginal, entropy, fidelity and trace-norm kernels take stacks, so
-a batch of states is one call.  All entropies are in bits.
+reduced states read from the purification, von Neumann entropies and
+multiparty information.  The marginal, entropy, ``fidelity_ops`` and
+trace-norm kernels take stacks, so a batch of states is one call.  All
+entropies are in bits.
 """
 from __future__ import annotations
 
@@ -453,44 +453,8 @@ def multiparty_info(state: MultipartyState, parts: Sequence[Iterable[str]],
     return total - (entropy(state, every | cond) - h_e)
 
 
-def fidelity(a: MultipartyState, b: MultipartyState) -> float:
-    """Fidelity F(a, b) = (Tr sqrt(sqrt(b) a sqrt(b)))^2, in [0, 1]."""
-    _check_same_shape(a, b)
-    return float(fidelity_ops(a.op, b.op))
-
-
-def trace_norm_distance(a: MultipartyState, b: MultipartyState) -> float:
-    """Unnormalized trace distance Tr|a - b| (one-norm of the difference)."""
-    _check_same_shape(a, b)
-    return float(trace_norm(a.op - b.op))
-
-
-def normalized_trace_distance(a: MultipartyState,
-                              b: MultipartyState) -> float:
-    """Halved trace distance (1/2) Tr|a - b|, as consumed by the
-    continuity bounds."""
-    return trace_norm_distance(a, b) / 2.0
-
-
-def _check_same_shape(a: MultipartyState, b: MultipartyState):
-    if a.labels != b.labels or a.dims != b.dims:
-        raise StateError(f"shape mismatch: {a.labels}/{a.dims} vs "
-                         f"{b.labels}/{b.dims}")
-
-
 def purification_vector(state: MultipartyState) -> tuple[np.ndarray, int]:
     """(psi, r): the state's ``psi`` and its rank; the purified ket is
     sum_k psi[:, k] (x) |k>."""
     return state.psi, state.psi.shape[1]
 
-
-def purify(state: MultipartyState, new_label: str) -> MultipartyState:
-    """Minimal purification; the purifier dimension equals the rank."""
-    if new_label in state.labels:
-        raise StateError(f"label {new_label!r} already in use")
-    psi, r = purification_vector(state)
-    if state.dim * r > MAX_TOTAL_DIM:
-        raise StateError("purification exceeds the dimension cap")
-    vec = psi.reshape(-1)  # row-major: original system major, purifier minor
-    return state_from_vector(vec, state.labels + (new_label,),
-                             state.dims + (r,))

@@ -3,9 +3,9 @@
 A sender holding n copies of her share applies a random unitary and
 forwards part of the rotated block; transfer succeeds exactly when the
 kept remainder decouples from the reference.  The simulator measures
-that decoupling directly (normalized trace distance and a fidelity
-proxy between the joint state and the product of its marginals) on a
-grid of qubit rates, exhibiting the half-mutual-information threshold.
+that decoupling directly (normalized trace distances and fidelities
+between the joint state and the product of its marginals) on a grid
+of qubit rates, exhibiting the half-mutual-information threshold.
 """
 from __future__ import annotations
 
@@ -73,15 +73,6 @@ def _copy_dims(dims: Sequence[int], n: int,
     if n * math.log2(math.prod(dims)) > math.log2(qstate.MAX_TOTAL_DIM):
         raise SimError(f"n-copy {what} exceeds the dimension cap")
     return tuple(d ** n for d in dims)
-
-
-def ncopy_state(state: MultipartyState, n: int) -> MultipartyState:
-    """n copies of the state with each label's copies grouped into one
-    block, so the labels survive with dimensions raised to the n."""
-    dims = _copy_dims(state.dims, n)
-    vec, purifier = _grouped_vector(state, n, 0)
-    op = qstate.vector_marginal(vec, dims + (purifier,), range(len(dims)))
-    return MultipartyState(state.labels, dims, op)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,9 +208,9 @@ def _product_fidelity(m: np.ndarray, sigma_a: np.ndarray,
 def _split_errors(vecs: np.ndarray, dims: Sequence[int], ref_pos: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Decoupling errors of a stack of amplitude vectors on ``dims``, the
-    sent part A1 and the kept part A2 leading: per vector, the normalized
-    trace distance and the fidelity between the A2/reference joint and
-    the product of its marginals."""
+    sent part A1 and the kept part A2 leading: the normalized trace
+    distances and fidelities, one per vector, between the A2/reference
+    joint and the product of its marginals."""
     d_a2, d_ref = dims[1], dims[ref_pos]
     # joint = M M^dagger, M's rows kept A2 x reference
     m = qstate.marginal_factor(vecs, dims, [1, ref_pos])
@@ -242,9 +233,9 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     Per trial: take n grouped copies of the purified state (optionally
     projected onto the delta-typical sender subspace and renormalized),
     rotate the sender block by a fresh Haar unitary, send the leading
-    2^(nQ)-dimensional factor, and record the normalized trace distance
-    and fidelity between the kept-remainder/reference joint state and
-    the product of its marginals; the purifier is traced out with the
+    2^(nQ)-dimensional factor, and record the two decoupling errors
+    (``_split_errors``) of the kept-remainder/reference joint state
+    against the product of its marginals; the purifier is traced out with the
     rest.  Rates are quantized to whole qubits (fractional nQ floored,
     with a note).  Trial t uses the seed pair (seed, t).
 
@@ -310,8 +301,8 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
         return [2 ** nq, block // 2 ** nq] + rest_dims
 
     # nothing sent or everything sent: the draw acts on A2 alone, which
-    # leaves the distance and fidelity unchanged, or on nothing that is
-    # kept, so one evaluation of the unrotated vector serves every trial
+    # leaves both errors unchanged, or on nothing that is kept, so one
+    # evaluation of the unrotated vector serves every trial
     mean_d, stderr, mean_f = np.zeros((3, len(splits)))
     drawn = []
     for gi, (_, nq) in enumerate(splits):

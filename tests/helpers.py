@@ -105,6 +105,17 @@ def reorder_subsystems(op, dims, order):
     return np.ascontiguousarray(t.transpose(perm).reshape(d, d))
 
 
+def ncopy_op_reference(state, n):
+    """n-copy density operator with each label's copies grouped: the
+    Kronecker power of ``op`` with its factors reordered label-major."""
+    op = state.op
+    for _ in range(n - 1):
+        op = np.kron(op, state.op)
+    k = len(state.labels)
+    order = [c * k + l for l in range(k) for c in range(n)]
+    return reorder_subsystems(op, list(state.dims) * n, order)
+
+
 def vector_marginal_reference(vec, dims, keep):
     """Marginal of one pure state given as an amplitude vector."""
     dims = list(dims)
@@ -253,7 +264,7 @@ def conditional_info_forms(state, parts, cond):
 def perturbation_report(a, b, parts, budget=esq.EsqBudget()):
     """Diagnostic (reported, not asserted): compare the estimate drift of
     two nearby states against the continuity modulus."""
-    eps = qstate.normalized_trace_distance(a, b)
+    eps = float(qstate.trace_norm(a.op - b.op)) / 2.0
     est_a = esq.esq_upper_bound(a, parts, budget)
     est_b = esq.esq_upper_bound(b, parts, budget)
     part_dims = [a.dim_of(p) for p in parts]
@@ -350,9 +361,9 @@ def emit_reference(value, indent=0):
             return "[]"
         items = [f"{pad}  {emit_reference(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, int):
+    if isinstance(value, (int, np.integer)):
         return str(value)
     if isinstance(value, float):
         return format(value, ".12g")

