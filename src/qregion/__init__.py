@@ -18,12 +18,10 @@ from .qstate import (  # noqa: F401
     reduced_state,
 )
 from .region import (  # noqa: F401
-    ChainFamily,
     Membership,
     RatePoint,
     RegionConstants,
     RegionError,
-    SaturatedSystem,
     VRegion,
     check_supermodular,
     corner_point,

@@ -55,7 +55,6 @@ class ExtensionChannel:
     ``d_g`` is discarded.
     """
 
-    source: str
     d_e: int
     d_g: int
     isometry: np.ndarray
@@ -118,17 +117,10 @@ class EsqEstimate:
     budget: EsqBudget
 
 
-def purifier_label(state: MultipartyState) -> str:
-    lab = "R0"
-    while lab in state.labels:
-        lab += "_"
-    return lab
-
-
-def trivial_channel(source: str, d_source: int) -> ExtensionChannel:
+def trivial_channel(d_source: int) -> ExtensionChannel:
     """Conditioning on a one-dimensional system: no extension at all."""
     iso = np.eye(d_source, dtype=complex)
-    return ExtensionChannel(source, 1, d_source, iso, "trivial")
+    return ExtensionChannel(1, d_source, iso, "trivial")
 
 
 def _polar_isometry(m: np.ndarray) -> np.ndarray:
@@ -157,8 +149,7 @@ def classical_flag_channel(state: MultipartyState) -> ExtensionChannel:
         overlaps = psi.conj().T @ ket  # sqrt(lam_k) <e_k|Psi_j>
         w[j * nb + j, :] += math.sqrt(branch.weight) * overlaps / lam
     w = _polar_isometry(w)
-    return ExtensionChannel(purifier_label(state), nb, nb, w,
-                            "classical_flag")
+    return ExtensionChannel(nb, nb, w, "classical_flag")
 
 
 def _embedding_isometry(d_source: int, d_e: int, d_g: int) -> np.ndarray:
@@ -229,9 +220,6 @@ def conditional_info_with_extension(state: MultipartyState,
     if width > r and state.dim * width > ESQ_DIM_CAP:
         raise EsqError(f"extension dimension {state.dim * width} "
                        f"exceeds cap {ESQ_DIM_CAP}")
-    if ch.source != purifier_label(state):
-        raise EsqError(f"channel source {ch.source!r} is not the purifier "
-                       f"label {purifier_label(state)!r}")
     if ch.d_source != r:
         raise EsqError(f"channel expects a purifier of dimension "
                        f"{ch.d_source}, state has rank {r}")
@@ -300,9 +288,8 @@ def esq_upper_bound(state: MultipartyState,
         if d_e < 1:
             raise EsqError("d_E values must be >= 1")
     psi, r = qstate.purification_vector(state)
-    src = purifier_label(state)
 
-    best_ch = trivial_channel(src, r)
+    best_ch = trivial_channel(r)
     baseline_raw = best_raw = conditional_info_with_extension(state, parts,
                                                               best_ch)
     if state.provenance is not None:
@@ -331,7 +318,7 @@ def esq_upper_bound(state: MultipartyState,
             best_raw, winner = float(raws[i]), (d_e, d_e, vs[i])
 
     if winner is not None:
-        best_ch = ExtensionChannel(src, *winner, "parameterized")
+        best_ch = ExtensionChannel(*winner, "parameterized")
         # the reported value comes from the checked channel's own copy
         best_raw = conditional_info_with_extension(state, parts, best_ch)
     baseline = max(0.0, 0.5 * baseline_raw)

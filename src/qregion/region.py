@@ -14,8 +14,10 @@ saturated constraint systems, and optimizes linear costs greedily.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -43,12 +45,6 @@ def nonempty_subsets(senders: Sequence[str]) -> list[frozenset[str]]:
     """All nonempty sender subsets, ordered by (size, lexicographic)."""
     return [frozenset(combo) for r in range(1, len(senders) + 1)
             for combo in itertools.combinations(sorted(senders), r)]
-
-
-def _incidence(senders: Sequence[str], sets) -> np.ndarray:
-    """0/1 rows: entry (r, i) is 1 when ``senders[i]`` is in ``sets[r]``."""
-    return np.array([[lab in s for lab in senders] for s in sets],
-                    dtype=float).reshape(len(sets), len(senders))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +82,10 @@ class RegionConstants:
         bounds = np.array([c[s] for s in subsets])
         if not np.isfinite(bounds).all():
             raise RegionError("constants must be finite")
-        incidence = _incidence(senders, subsets)
-        masks = incidence.astype(np.int64) @ (1 << np.arange(len(senders)))
+        bit = {lab: 1 << i for i, lab in enumerate(senders)}
+        masks = np.array([sum(bit[lab] for lab in s) for s in subsets],
+                         dtype=np.int64)
+        incidence = (masks[:, None] >> np.arange(len(senders)) & 1) * 1.0
         table = np.zeros(2 ** len(senders))
         table[masks] = bounds
         c = MappingProxyType(dict(zip(subsets, bounds.tolist())))
@@ -130,9 +128,6 @@ class RatePoint:
     def rate(self, sender: str) -> float:
         return self.rates[self.senders.index(sender)]
 
-    def subset_sum(self, subset: Iterable[str]) -> float:
-        return float(sum(self.rate(lab) for lab in subset))
-
 
 @dataclass(frozen=True)
 class VRegion:
@@ -144,26 +139,6 @@ class VRegion:
 
     def arrays(self) -> np.ndarray:
         return np.array([v.rates for v in self.vertices], dtype=float)
-
-
-@dataclass(frozen=True)
-class SaturatedSystem:
-    """m sender subsets whose indicator rows pin down a vertex."""
-
-    senders: tuple[str, ...]
-    sets: tuple[frozenset[str], ...]
-
-    def indicator_matrix(self) -> np.ndarray:
-        return _incidence(self.senders, self.sets)
-
-
-@dataclass(frozen=True)
-class ChainFamily:
-    """Maximal chain K_1 c K_2 c ... c K_m and a permutation realizing
-    it via suffix sets."""
-
-    sets: tuple[frozenset[str], ...]
-    permutation: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -345,10 +320,10 @@ def enumerate_vertices(rc: RegionConstants) -> VRegion:
     if m > MAX_ENUM_SENDERS:
         raise RegionError(f"vertex enumeration limited to m ≤ "
                           f"{MAX_ENUM_SENDERS} senders")
-    rows, incidence, bounds = rc.subsets, rc.incidence, rc.bounds
+    incidence, bounds = rc.incidence, rc.bounds
     floor = bounds - FEAS_TOL
-    block = max(1, ENUM_BLOCK_BYTES // (8 * max(m * m, len(rows))))
-    combos = itertools.combinations(range(len(rows)), m)
+    block = max(1, ENUM_BLOCK_BYTES // (8 * max(m * m, len(bounds))))
+    combos = itertools.combinations(range(len(bounds)), m)
     kept: list[np.ndarray] = []
     kept_combos: list[np.ndarray] = []
     while len(idx := np.fromiter(
@@ -368,72 +343,65 @@ def enumerate_vertices(rc: RegionConstants) -> VRegion:
             kept_combos.append(idx[0])
             near = np.abs(x - x[0]).max(axis=1) <= DEDUP_TOL
             idx, x = idx[~near], x[~near]
-    out = []
-    for vertex, combo in zip(kept, kept_combos):
-        chain = reconstruct_chain(
-            SaturatedSystem(rc.senders, tuple(rows[r] for r in combo)))
-        out.append(RatePoint(rc.senders, tuple(vertex.tolist()),
-                             witness=chain.permutation))
-    return VRegion(rc.senders, tuple(out))
+    return VRegion(rc.senders, tuple(
+        RatePoint(rc.senders, tuple(vertex.tolist()),
+                  witness=reconstruct_chain(rc.senders, rc.masks[combo]))
+        for vertex, combo in zip(kept, kept_combos)))
 
 
-def reconstruct_chain(sys: SaturatedSystem) -> ChainFamily:
-    """Recover the maximal chain hidden in a saturated constraint system.
+def reconstruct_chain(senders: Sequence[str],
+                      masks: Sequence[int]) -> tuple[str, ...]:
+    """The permutation whose suffix sets are the maximal chain hidden in
+    a saturated constraint system of m row masks (bit i stands for
+    ``senders[i]``).
 
-    Builds the implication graph with an edge (j, k) whenever every set
-    containing j also contains k, topologically sorts it (lowest label
-    first among ties), and reads the chain off as suffix sets of the
-    order.  The suffix sets are independently re-derived from unions of
-    intersected sets as a consistency check.
+    ``closure[j]``, the AND of every row containing bit j, holds the
+    senders that must follow j.  A Kahn sort of that order, lowest label
+    first among the free senders, gives the permutation.  Its suffix
+    sets are independently re-derived from unions of intersected rows as
+    a consistency check.
     """
-    senders = tuple(sys.senders)
-    m = len(senders)
-    if len(sys.sets) != m:
-        raise RegionError(f"expected {m} sets, got {len(sys.sets)}")
-    if not _independent(sys.indicator_matrix()):
+    senders = tuple(senders)
+    masks = [int(s) for s in masks]
+    m, full = len(senders), (1 << len(senders)) - 1
+    if len(masks) != m:
+        raise RegionError(f"expected {m} sets, got {len(masks)}")
+    if not _independent(np.array(masks, dtype=np.int64)[:, None]
+                        >> np.arange(m) & 1):
         raise RegionError("indicator rows are linearly dependent")
 
-    edges = {j: set() for j in senders}
-    for j in senders:
-        containing = [s for s in sys.sets if j in s]
-        for k in senders:
-            if k != j and all(k in s for s in containing):
-                edges[j].add(k)
-
-    # Kahn topological sort, lowest label first among available nodes
-    indeg = {k: 0 for k in senders}
-    for j in senders:
-        for k in edges[j]:
-            indeg[k] += 1
-    avail = sorted(k for k in senders if indeg[k] == 0)
-    order: list[str] = []
-    while avail:
-        node = avail.pop(0)
+    closure = [functools.reduce(operator.and_,
+                                (s for s in masks if s >> j & 1), full)
+               for j in range(m)]
+    # Kahn topological sort: j must precede every other sender in
+    # closure[j]; take the lowest label among the free senders
+    before = [sum(1 << j for j in range(m) if j != k and closure[j] >> k & 1)
+              for k in range(m)]
+    by_label = sorted(range(m), key=senders.__getitem__)
+    order, placed = [], 0
+    while len(order) < m:
+        node = next((k for k in by_label if not placed >> k & 1
+                     and not before[k] & ~placed), None)
+        if node is None:
+            raise InternalCheckError("implication graph has a cycle despite "
+                                     "linearly independent rows")
         order.append(node)
-        for k in sorted(edges[node]):
-            indeg[k] -= 1
-            if indeg[k] == 0:
-                avail.append(k)
-        avail.sort()
-    if len(order) != m:
-        raise InternalCheckError("implication graph has a cycle despite "
-                                 "linearly independent rows")
+        placed |= 1 << node
 
-    chain = tuple(frozenset(order[m - l:]) for l in range(1, m + 1))
-
-    # cross-check: rebuild each chain set from unions of intersections
-    current = frozenset().union(*sys.sets)
-    if current != frozenset(senders):
+    # cross-check: rebuild each suffix set from unions of intersections
+    current = functools.reduce(operator.or_, masks, 0)
+    if current != full:
         raise InternalCheckError("saturated sets do not cover every sender")
-    for l in range(m, 0, -1):
-        if chain[l - 1] != current:
+    suffix = full
+    for l, node in zip(range(m, 0, -1), order):
+        if suffix != current:
             raise InternalCheckError("chain reconstruction mismatch at "
                                      f"level {l}")
-        head = order[m - l]
-        current = frozenset().union(
-            frozenset(),
-            *[s & current for s in sys.sets if head not in (s & current)])
-    return ChainFamily(chain, tuple(order))
+        head = 1 << node
+        suffix &= ~head
+        current = functools.reduce(operator.or_, [
+            s & current for s in masks if not s & current & head], 0)
+    return tuple(senders[j] for j in order)
 
 
 class InternalCheckError(RuntimeError):

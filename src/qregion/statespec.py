@@ -56,6 +56,12 @@ class StateSpec:
                             f"expected one of {', '.join(FAMILIES)}")
         if len(self.labels) == 0:
             raise SpecError("labels", "at least one label required")
+        for lab in self.labels:
+            # reports name a subset by joining its labels with "+", and
+            # the H-representation splits its senders line on whitespace
+            if not lab or "+" in lab or any(map(str.isspace, lab)):
+                raise SpecError("labels", f"label {lab!r} must be nonempty "
+                                "with no whitespace and no '+'")
         if len(set(self.labels)) != len(self.labels):
             raise SpecError("labels", "labels must be distinct")
         if len(self.dims) != len(self.labels):

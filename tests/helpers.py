@@ -320,11 +320,24 @@ def enumerate_vertices_reference(rc, feas_tol=region.FEAS_TOL,
             continue
         if any(np.max(np.abs(x - k.as_array())) <= dedup_tol for k in kept):
             continue
-        chain = region.reconstruct_chain(
-            region.SaturatedSystem(rc.senders, tuple(rows[r] for r in combo)))
-        kept.append(region.RatePoint(rc.senders, tuple(float(v) for v in x),
-                                     witness=chain.permutation))
+        kept.append(region.RatePoint(
+            rc.senders, tuple(float(v) for v in x),
+            witness=region.reconstruct_chain(rc.senders, rc.masks[combo])))
     return region.VRegion(rc.senders, tuple(kept))
+
+
+def chain_reference(senders, masks):
+    """The first permutation of ``senders``, in label order, that puts j
+    before k whenever every mask containing j contains k (bit i stands
+    for ``senders[i]``), or None if no permutation does."""
+    members = [{lab for i, lab in enumerate(senders) if s >> i & 1}
+               for s in masks]
+    follows = [(j, k) for j in senders for k in senders
+               if j != k and all(k in s for s in members if j in s)]
+    for perm in itertools.permutations(sorted(senders)):
+        if all(perm.index(j) < perm.index(k) for j, k in follows):
+            return perm
+    return None
 
 
 def corner_set_reference(rc, tol=region.DEDUP_TOL):

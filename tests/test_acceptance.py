@@ -16,8 +16,7 @@ from qregion import esq as E
 from qregion.cli import run_command
 from qregion.esq import EsqBudget
 from qregion.hrep import export_h_representation, parse_h_representation
-from qregion.region import (RatePoint, RegionConstants, SaturatedSystem,
-                            nonempty_subsets)
+from qregion.region import RatePoint, RegionConstants, nonempty_subsets
 
 from helpers import (_row_rank, bell_between_senders, bell_state,
                      conditional_info_forms, ghz_state, product_state,
@@ -111,18 +110,13 @@ def _check_duality(rc):
     assert _sets_match(enum.arrays(), corners.arrays(), 1e-7)
     # every vertex yields a saturated system that reconstructs a chain
     for vertex in enum.vertices:
-        tight = qr.membership(rc, vertex).tight
+        tight = [rc.subsets.index(s) for s in qr.membership(rc, vertex).tight]
         found = False
-        for combo in itertools.combinations(tight, rc.m):
-            sys = SaturatedSystem(rc.senders, combo)
-            if _row_rank(sys.indicator_matrix()) < rc.m:
+        for combo in map(list, itertools.combinations(tight, rc.m)):
+            if _row_rank(rc.incidence[combo]) < rc.m:
                 continue
-            chain = qr.reconstruct_chain(sys)
-            for l, subset in enumerate(chain.sets, start=1):
-                assert len(subset) == l
-                if l > 1:
-                    assert chain.sets[l - 2] < subset
-            rebuilt = qr.corner_point(rc, chain.permutation)
+            perm = qr.reconstruct_chain(rc.senders, rc.masks[combo])
+            rebuilt = qr.corner_point(rc, perm)
             assert np.abs(rebuilt.as_array()
                           - vertex.as_array()).max() <= 1e-7
             found = True

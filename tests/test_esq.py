@@ -25,7 +25,7 @@ def test_trivial_channel_reproduces_unconditional_info():
         marg = qr.reduced_state(st, {"A", "B"})
         parts = [{"A"}, {"B"}]
         psi_rank = Q.purification_vector(marg)[1]
-        ch = E.trivial_channel(E.purifier_label(marg), psi_rank)
+        ch = E.trivial_channel(psi_rank)
         raw = qr.conditional_info_with_extension(marg, parts, ch)
         assert abs(raw - qr.multiparty_info(marg, parts)) <= 1e-9
 
@@ -59,14 +59,13 @@ def test_classical_flag_requires_provenance():
 def test_bell_random_channels_never_below_two():
     bell = bell_state(("A", "B"), reference="B")
     rng = np.random.default_rng(9)
-    src = E.purifier_label(bell)
     for _ in range(50):
         d_e = int(rng.integers(1, 5))
         d_g = int(rng.integers(1, 5))
         g = rng.standard_normal((d_e * d_g, 1)) \
             + 1j * rng.standard_normal((d_e * d_g, 1))
         iso = E._polar_isometry(g)
-        ch = E.ExtensionChannel(src, d_e, d_g, iso, "parameterized")
+        ch = E.ExtensionChannel(d_e, d_g, iso, "parameterized")
         raw = qr.conditional_info_with_extension(bell, [{"A"}, {"B"}], ch)
         assert raw >= 2.0 - 1e-6
 
@@ -125,7 +124,7 @@ def test_esq_deterministic_given_seed():
 
 def test_channel_validation_and_caps():
     with pytest.raises(EsqError):
-        E.ExtensionChannel("R0", 2, 2, np.ones((4, 2)), "parameterized")
+        E.ExtensionChannel(2, 2, np.ones((4, 2)), "parameterized")
     big = qr.random_pure_state(("A", "B"), (8, 8), 0)
     with pytest.raises(EsqError):
         qr.esq_upper_bound(big, [{"A"}, {"B"}],
@@ -151,7 +150,7 @@ def test_baseline_of_a_purifier_wider_than_the_cap():
 
 def test_wrong_purifier_dimension_rejected():
     mixed = qr.reduced_state(ghz_state(), {"A1", "A2"})  # rank 2
-    ch = E.trivial_channel(E.purifier_label(mixed), 3)
+    ch = E.trivial_channel(3)
     with pytest.raises(EsqError, match="rank"):
         qr.conditional_info_with_extension(mixed, [{"A1"}, {"A2"}], ch)
 
@@ -461,7 +460,7 @@ def test_edge_budgets():
     groups = Q.part_groups(marg, parts)
     psi, r = Q.purification_vector(marg)
     raws = E._cond_info_extended(psi, marg.dims, groups,
-                                 E.trivial_channel("R0", r).isometry[None],
+                                 E.trivial_channel(r).isometry[None],
                                  1, r).tolist()
     for d_e in budget.d_e_values:
         starts = [E._embedding_isometry(r, d_e, d_e)]

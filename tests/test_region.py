@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import qregion as qr
 from qregion import qstate, region
 from qregion.region import (DEDUP_TOL, FEAS_TOL, RatePoint,
-                            RegionConstants, RegionError, SaturatedSystem,
-                            nonempty_subsets)
+                            RegionConstants, RegionError, nonempty_subsets)
 from qregion.statespec import StateSpec
 
 from helpers import (_row_rank, bell_between_senders, bell_with_spectator,
-                     corner_set_reference, enumerate_vertices_reference,
+                     chain_reference, corner_set_reference,
+                     enumerate_vertices_reference,
                      ghz_state, product_state, random_mixture_state,
                      random_sender_state, region_constants_reference)
 
@@ -180,27 +180,76 @@ def test_enumerate_rejects_large_m():
         qr.enumerate_vertices(zero_constants(6))
 
 
+# bit i stands for senders[i]: "1" is 1, "2" is 2 and "3" is 4
+
 def test_reconstruct_chain_nested_input():
-    sys = SaturatedSystem(("1", "2", "3"),
-                          (fs("3"), fs("2", "3"), fs("1", "2", "3")))
-    chain = qr.reconstruct_chain(sys)
-    assert chain.permutation == ("1", "2", "3")
-    assert chain.sets == (fs("3"), fs("2", "3"), fs("1", "2", "3"))
+    # {3}, {2, 3}, {1, 2, 3}
+    assert qr.reconstruct_chain(("1", "2", "3"), (4, 6, 7)) \
+        == ("1", "2", "3")
 
 
 def test_reconstruct_chain_overlapping_sets():
-    sys = SaturatedSystem(("1", "2", "3"),
-                          (fs("1", "2"), fs("2", "3"), fs("1", "2", "3")))
-    chain = qr.reconstruct_chain(sys)
-    assert chain.sets == (fs("2"), fs("2", "3"), fs("1", "2", "3"))
-    assert chain.permutation == ("1", "3", "2")
+    # {1, 2}, {2, 3}, {1, 2, 3}: suffix sets {2}, {2, 3}, {1, 2, 3}
+    assert qr.reconstruct_chain(("1", "2", "3"), (3, 6, 7)) \
+        == ("1", "3", "2")
 
 
 def test_reconstruct_chain_rejects_dependent_rows():
-    sys = SaturatedSystem(("1", "2", "3"),
-                          (fs("1", "2"), fs("1", "2"), fs("3")))
+    # {1, 2}, {1, 2}, {3}
     with pytest.raises(RegionError, match="dependent"):
-        qr.reconstruct_chain(sys)
+        qr.reconstruct_chain(("1", "2", "3"), (3, 3, 4))
+
+
+def _label_orders(m, rng):
+    labels = [f"A{i + 1}" for i in range(m)]
+    return (tuple(labels), tuple(reversed(labels)),
+            tuple(rng.permutation(labels).tolist()))
+
+
+def _is_independent(m, masks):
+    return _row_rank(np.array(masks)[:, None] >> np.arange(m) & 1) == m
+
+
+def test_reconstruct_chain_matches_brute_force_order():
+    # every ordered independent system for m <= 3, then 1500 sampled ones
+    # at each of m = 4 and 5, each under sorted, reversed and shuffled labels
+    rng = np.random.default_rng(41)
+    checked = 0
+    for m in (1, 2, 3, 4, 5):
+        orders = _label_orders(m, rng)
+        if m <= 3:
+            systems = itertools.product(range(1, 1 << m), repeat=m)
+        else:
+            systems = (tuple(rng.integers(1, 1 << m, m).tolist())
+                       for _ in itertools.count())
+        systems = filter(lambda masks: _is_independent(m, masks), systems)
+        for masks in itertools.islice(systems, 1500):
+            for senders in orders:
+                assert qr.reconstruct_chain(senders, masks) \
+                    == chain_reference(senders, masks), (senders, masks)
+            checked += 1
+    assert checked > 3000
+
+
+@st.composite
+def _shuffled_random_states(draw):
+    m = draw(st.integers(2, 4))
+    order = draw(st.permutations([f"A{i + 1}" for i in range(m)]))
+    state = qr.random_pure_state(tuple(order) + ("R",), (2,) * (m + 1),
+                                 draw(st.integers(0, 2 ** 32 - 1)))
+    return qr.region_constants(state, "R")
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_shuffled_random_states())
+def test_vertices_and_corners_agree_with_witnesses(rc):
+    vertices = qr.enumerate_vertices(rc).vertices
+    corners = qr.corner_set(rc)
+    assert len(vertices) == len(corners.vertices)
+    for v in vertices:
+        near = np.abs(corners.arrays() - v.as_array()).max(axis=1) <= DEDUP_TOL
+        assert near.sum() == 1
+        assert corners.vertices[int(np.argmax(near))].witness == v.witness
 
 
 def test_corner_tight_on_maximal_chain():
@@ -211,7 +260,7 @@ def test_corner_tight_on_maximal_chain():
             m = rc.m
             for l in range(1, m + 1):
                 suffix = frozenset(perm[m - l:])
-                assert abs(pt.subset_sum(suffix)
+                assert abs(sum(pt.rate(lab) for lab in suffix)
                            - rc.value(suffix)) <= 1e-8
             assert qr.membership(rc, pt).verdict != "outside"
 
@@ -309,7 +358,7 @@ def _reference_corner_set(rc, tol=DEDUP_TOL):
 def _reference_membership(rc, q, tol=FEAS_TOL):
     violated, tight = [], []
     for subset in nonempty_subsets(rc.senders):
-        total = q.subset_sum(subset)
+        total = sum(q.rate(lab) for lab in subset)
         if total < rc.value(subset) - tol:
             violated.append(subset)
         elif abs(total - rc.value(subset)) <= tol:

@@ -54,6 +54,24 @@ def test_parse_rejects_duplicate_labels():
                          "reference: R}")
 
 
+@pytest.mark.parametrize("labels", ['[A, B, "A+B", R]', '["", A, R]',
+                                    '["A 1", B, R]', '["A\\t1", B, R]'],
+                         ids=["plus", "empty", "space", "tab"])
+def test_parse_rejects_labels_that_break_report_names(labels, tmp_path,
+                                                       capsys):
+    n = labels.count(",") + 1
+    text = (f"{{family: random_pure, labels: {labels}, "
+            f"dims: [{', '.join(['2'] * n)}], reference: R, seed: 1}}")
+    with pytest.raises(SpecError, match="no whitespace and no") as err:
+        parse_state_spec(text)
+    assert err.value.field == "labels"
+    path = tmp_path / "labels.spec"
+    path.write_text(text + "\n")
+    assert run_command(["region", "--state", str(path),
+                        "--out", str(tmp_path / "r.json")]) == 2
+    assert "error: labels: label" in capsys.readouterr().err
+
+
 def test_parse_rejects_missing_reference():
     with pytest.raises(SpecError, match="reference"):
         parse_state_spec("{family: ghz, labels: [A, B], dims: [2, 2]}")
