@@ -212,6 +212,16 @@ def _load(text: str):
         raise SpecError("document", f"not parseable: {err}", line=line)
 
 
+def _as_label(entry, field: str) -> str:
+    """A label as written: YAML reads an unquoted 010, 0x1F, 1.50 or yes
+    as a number or bool, whose ``str`` would rename the sender."""
+    if not isinstance(entry, str):
+        raise SpecError(field, f"read as the {type(entry).__name__} "
+                        f"{entry!r}; quote each label as written, e.g. "
+                        f"'010' not 010")
+    return entry
+
+
 def parse_state_spec(text: str) -> StateSpec:
     """Parse a UTF-8 state-spec document into a validated StateSpec."""
     raw = _load(text)
@@ -232,7 +242,7 @@ def parse_state_spec(text: str) -> StateSpec:
     labels = need("labels")
     if not isinstance(labels, list):
         raise SpecError("labels", "must be a list")
-    labels = tuple(str(x) for x in labels)
+    labels = tuple(_as_label(x, "labels") for x in labels)
 
     dims = need("dims")
     if not isinstance(dims, list):
@@ -265,7 +275,7 @@ def parse_state_spec(text: str) -> StateSpec:
     if pair is not None:
         if not isinstance(pair, list) or len(pair) != 2:
             raise SpecError("pair", "must be a list of two labels")
-        pair = (str(pair[0]), str(pair[1]))
+        pair = (_as_label(pair[0], "pair"), _as_label(pair[1], "pair"))
 
     seed = raw.get("seed")
     if seed is not None and (not _is_int(seed) or seed < 0):
@@ -293,7 +303,7 @@ def parse_state_spec(text: str) -> StateSpec:
         family=str(need("family")),
         labels=labels,
         dims=tuple(dims),
-        reference=str(need("reference")),
+        reference=_as_label(need("reference"), "reference"),
         basis=basis,
         pair=pair,
         seed=seed,

@@ -234,6 +234,30 @@ def cond_info_reference(psi, x_dims, groups, iso, d_e, d_g):
     return total - h_xe - (len(groups) - 1) * h_e
 
 
+def cond_info_grad_reference(psi, x_dims, groups, isos, d_e, d_g):
+    """Values and Euclidean gradients of I(X1;...;Xm|E) for a stack of
+    isometries, term by term: each term's factor is its own
+    ``marginal_factor`` view, and its gradient is scattered into the
+    flat amplitudes at the factor's index matrix."""
+    ext = psi @ isos.swapaxes(-1, -2)
+    dims = list(x_dims) + [d_e, d_g]
+    vecs = ext.reshape(len(isos), -1)
+    e_ax, g_ax = len(x_dims), len(x_dims) + 1
+    total, gamma = np.zeros(len(isos)), np.zeros_like(vecs)
+    for keep, c in [(list(group) + [e_ax], 1) for group in groups] \
+            + [([g_ax], -1), ([e_ax], 1 - len(groups))]:
+        m = qstate.marginal_factor(vecs, dims, keep)
+        ev, u = np.linalg.eigh(qstate.hermitian_part(
+            m @ m.conj().swapaxes(-1, -2)))
+        log_ev = np.log2(np.where(ev > qstate.EIG_CUTOFF, ev, 1.0))
+        lm = (u * log_ev[..., None, :]) @ (u.conj().swapaxes(-1, -2) @ m)
+        total -= c * np.einsum("bij,bij->b", m.conj(), lm).real
+        at = qstate.marginal_factor(np.arange(vecs.shape[1]), dims, keep)
+        gamma[:, at.ravel()] += c * lm.reshape(len(isos), -1)
+    return total, -2.0 * gamma.reshape(ext.shape).swapaxes(-1, -2) \
+        @ psi.conj()
+
+
 # ---------------------------------------------------------------------------
 # information and estimate oracles: second computations of library numbers
 

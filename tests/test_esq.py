@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from qregion.esq import EsqBudget, EsqError
 from qregion.region import RatePoint
 from qregion.statespec import MixtureBranch, StateSpec
 
-from helpers import (bell_between_senders, bell_state, cond_info_reference,
+from helpers import (bell_between_senders, bell_state,
+                     cond_info_grad_reference, cond_info_reference,
                      ghz_state, perturbation_report, product_state,
                      random_mixture_spec, random_mixture_state)
 
@@ -489,3 +491,66 @@ def test_edge_budgets():
 def test_budget_rejects_negative_counts(field, value):
     with pytest.raises(EsqError, match=f"budget {field} must be >= 0"):
         EsqBudget(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# the term plan
+
+@pytest.mark.parametrize("x_dims", [(2, 2), (2, 3), (2, 2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("d_e, d_g", [(1, 2), (2, 3), (3, 1)])
+def test_term_plan_gathers_the_marginal_factors(x_dims, d_e, d_g):
+    m = len(x_dims)
+    for groups in ([[i] for i in range(m)], [[i] for i in reversed(range(m))],
+                   [list(range(m - 1)), [m - 1]]):
+        dims, terms, blocks = E._term_plan(x_dims, tuple(map(tuple, groups)),
+                                           d_e, d_g)
+        assert dims == tuple(x_dims) + (d_e, d_g)
+        n = math.prod(dims)
+        vecs = np.random.default_rng(m).standard_normal((3, n))
+        assert list(terms) == [(group + [m], 1) for group in groups] \
+            + [([m + 1], -1), ([m], 1 - len(groups))]
+        # every term sits at exactly one position of one block
+        assert sorted(t for blk in blocks for t in blk.order) \
+            == list(range(len(terms)))
+        for blk in blocks:
+            gathered = vecs.take(blk.gather, axis=1).reshape(
+                3, -1, *blk.shape)
+            for pos, t in enumerate(blk.order):
+                factor = Q.marginal_factor(np.arange(n), dims, terms[t][0])
+                assert factor.shape == blk.shape
+                assert np.array_equal(
+                    blk.gather.reshape(-1, *blk.shape)[pos], factor)
+                # the inverse reads each flat entry back from the block
+                assert np.array_equal(blk.gather[blk.inverse[pos]],
+                                      np.arange(n))
+                view = Q.marginal_factor(vecs, dims, terms[t][0])
+                assert (pos < blk.n_row) == view[0].flags.c_contiguous
+                assert np.array_equal(gathered[:, pos], view)
+
+
+def test_cond_info_gradient_path_matches_term_by_term_bits():
+    rng = np.random.default_rng(41)
+    # (2, 3, 2) and (3, 2, 2) with merged groups put some blocks out of
+    # term order, so terms wait for a later block before being added
+    for x_dims, groups in [((2, 2), [[0], [1]]), ((2, 3), [[1], [0]]),
+                           ((2, 2, 2), [[0], [1], [2]]),
+                           ((2, 3, 2), [[0], [1], [2]]),
+                           ((3, 2, 2), [[0, 2], [1]]),
+                           ((2, 2, 2, 2), [[0], [1], [2], [3]])]:
+        labels = [f"A{i}" for i in range(len(x_dims))]
+        st = qr.reduced_state(qr.random_pure_state(
+            labels + ["R"], list(x_dims) + [2], int(rng.integers(100))),
+            set(labels))
+        psi, r = Q.purification_vector(st)
+        for d_e, d_g in itertools.product((1, 2, 3), repeat=2):
+            if d_e * d_g < r or st.dim * d_e * d_g > E.ESQ_DIM_CAP:
+                continue
+            isos = E._polar_isometry(
+                rng.standard_normal((5, d_e * d_g, r))
+                + 1j * rng.standard_normal((5, d_e * d_g, r)))
+            want = cond_info_grad_reference(psi, x_dims, groups, isos,
+                                            d_e, d_g)
+            got = E._cond_info_extended(psi, x_dims, groups, isos,
+                                        d_e, d_g, grad=True)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), (x_dims, d_e, d_g)

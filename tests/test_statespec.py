@@ -72,6 +72,38 @@ def test_parse_rejects_labels_that_break_report_names(labels, tmp_path,
     assert "error: labels: label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, token, field, read", [
+    ("ghz, labels: [{}, A, R], dims: [2, 2, 2], reference: R",
+     "010", "labels", "int 8"),
+    ("ghz, labels: [{}, A, R], dims: [2, 2, 2], reference: R",
+     "0x1F", "labels", "int 31"),
+    ("ghz, labels: [{}, A, R], dims: [2, 2, 2], reference: R",
+     "1.50", "labels", "float 1.5"),
+    ("ghz, labels: [{}, A, R], dims: [2, 2, 2], reference: R",
+     "yes", "labels", "bool True"),
+    ("ghz, labels: [A, B, '010'], dims: [2, 2, 2], reference: {}",
+     "010", "reference", "int 8"),
+    ("bell, labels: [A, '1.50', R], dims: [2, 2, 2], pair: [A, {}], "
+     "reference: R", "1.50", "pair", "float 1.5"),
+], ids=["octal", "hex", "float", "bool", "reference", "pair"])
+def test_parse_rejects_labels_yaml_resolved(spec, token, field, read,
+                                            tmp_path, capsys):
+    # str() of what YAML resolved would rename the sender: 010 -> "8"
+    text = "{family: " + spec.format(token) + "}"
+    with pytest.raises(SpecError, match="quote each label") as err:
+        parse_state_spec(text)
+    assert err.value.field == field
+    assert f"read as the {read}" in str(err.value)
+    path = tmp_path / "labels.spec"
+    path.write_text(text + "\n")
+    assert run_command(["region", "--state", str(path),
+                        "--out", str(tmp_path / "r.json")]) == 2
+    assert f"error: {field}: read as the {read}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    quoted = parse_state_spec("{family: " + spec.format(f"'{token}'") + "}")
+    assert token in quoted.labels
+
+
 def test_parse_rejects_missing_reference():
     with pytest.raises(SpecError, match="reference"):
         parse_state_spec("{family: ghz, labels: [A, B], dims: [2, 2]}")
