@@ -16,7 +16,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,12 +30,12 @@ ESQ_DIM_CAP = 1024
 #: most random restarts per d_E entry; the search work is linear in it
 MAX_RESTARTS = 1000
 
-#: most descent passes one esq or classify run may start: d_E sweep
-#: entries summed over the searched subsets, times restarts, times
-#: iterations.  The default budget is 128 passes (1024 gradient steps)
-#: per subset, about 0.6 ms per pass with one BLAS thread, so every
-#: sender count through m = 7 runs (15296 passes, 8-10 s) and m = 8
-#: (31040) is refused
+#: most descent passes one esq_upper_bound call, or one esq or classify
+#: run summed over its searched subsets, may start: d_E sweep entries
+#: times restarts times iterations.  The default budget is 128 passes
+#: (1024 gradient steps) per subset, about 0.6 ms per pass with one BLAS
+#: thread, so every sender count through m = 7 runs (15296 passes,
+#: 8-10 s) and m = 8 (31040) is refused
 MAX_SEARCH_PASSES = 16384
 
 #: gradient steps per descent pass
@@ -173,48 +173,29 @@ def _embedding_isometry(d_source: int, d_e: int, d_g: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # conditional information under an extension
 
-class _Block(NamedTuple):
-    """The terms of a ``_term_plan`` whose factors share one shape."""
-
-    #: (d_keep, d_rest) of every factor
-    shape: tuple[int, int]
-    #: flat indices of the extended vectors that gather the factors,
-    #: position by position
-    gather: np.ndarray
-    #: (positions, n) indices reading each position's flat-order entries
-    #: back from the gathered block
-    inverse: np.ndarray
-    #: the term at each position: row-major factor views first, then the
-    #: column-major ones
-    order: tuple[int, ...]
-    #: how many positions hold row-major views
-    n_row: int
-
-
 @functools.lru_cache(maxsize=128)
 def _term_plan(x_dims: tuple[int, ...], groups: tuple[tuple[int, ...], ...],
                d_e: int, d_g: int) -> tuple:
     """(dims, terms, blocks) of ``_cond_info_extended`` for one shape,
     built once: the extended dims, the (keep, c) terms in summation
-    order and a ``_Block`` per shape of their ``qstate.marginal_factor``
-    factors."""
+    order and, per shape of their ``qstate.marginal_factor`` factors, a
+    block (order, n_row, index): its terms, row-major factor views
+    first, how many of those there are, and the (terms, d_keep, d_rest)
+    stack of flat amplitude indices that gathers the factors."""
     dims = tuple(x_dims) + (d_e, d_g)
     e_ax, g_ax = len(x_dims), len(x_dims) + 1
     terms = tuple((list(group) + [e_ax], 1) for group in groups) \
         + (([g_ax], -1), ([e_ax], 1 - len(groups)))
-    n = math.prod(dims)
-    at = [qstate.marginal_factor(np.arange(n), dims, keep)
+    at = [qstate.marginal_factor(np.arange(math.prod(dims)), dims, keep)
           for keep, _ in terms]
     blocks = []
     for shape in dict.fromkeys(a.shape for a in at):
         order = sorted((t for t, a in enumerate(at) if a.shape == shape),
                        key=lambda t: not at[t].flags.c_contiguous)
-        gather = np.concatenate([at[t].ravel() for t in order])
-        inverse = np.stack([pos * n + np.argsort(at[t].ravel())
-                            for pos, t in enumerate(order)])
-        gather.flags.writeable = inverse.flags.writeable = False
-        blocks.append(_Block(shape, gather, inverse, tuple(order), sum(
-            at[t].flags.c_contiguous for t in order)))
+        index = np.stack([at[t] for t in order])
+        index.flags.writeable = False
+        blocks.append((tuple(order), sum(
+            at[t].flags.c_contiguous for t in order), index))
     return dims, terms, tuple(blocks)
 
 
@@ -230,53 +211,57 @@ def _cond_info_extended(psi: np.ndarray, x_dims: Sequence[int],
     ``grad`` it returns (values, G), G the Euclidean gradients with
     df = Re Tr(G^† dV): with L_S = log2 rho_S on the support,
     H(S) = -Tr[rho_S L_S] and dH(S) = -Tr[L_S d rho_S], so each term
-    adds -2 c (L_S (x) I)|ext>, mapped to V by conj(psi).  The gradient
-    path gathers, eigensolves and reduces the factors of a block of the
-    cached ``_term_plan`` at once, then adds each term in summation
-    order as soon as every earlier term is in; every number is the one
-    a term-by-term evaluation gives.
+    adds -2 c (L_S (x) I)|ext>, mapped to V by conj(psi).  Both paths
+    gather the factors of each block of the cached ``_term_plan`` by its
+    index, at most ``qstate.ENTROPY_BLOCK_BYTES`` of them (one term's at
+    least) at a time, solve them as one stack, and add each term in
+    summation order as soon as every earlier term is in; every number is
+    the one a term-by-term evaluation gives.
     """
     ext = psi @ isos.swapaxes(-1, -2)  # (B, dim_X, d_e*d_g)
     b = len(isos)
     vecs = ext.reshape(b, -1)
     dims, terms, blocks = _term_plan(tuple(x_dims), tuple(map(tuple, groups)),
                                      d_e, d_g)
-    total = np.zeros(b)
-    if not grad:
-        for keep, c in terms:
-            m = qstate.marginal_factor(vecs, dims, keep)
-            total += c * qstate.entropy_of_op(m @ m.conj().swapaxes(-1, -2))
-        return total
-    gamma = np.zeros_like(vecs)
-    ready, t = {}, 0  # term -> (Tr rho_S L_S, L_S M in flat order)
-    for (d_keep, d_rest), gather, inverse, order, n_row in blocks:
-        m = vecs.take(gather, axis=1).reshape(b, -1, d_keep, d_rest)
-        ev, u = np.linalg.eigh(qstate.hermitian_part(
-            m @ m.conj().swapaxes(-1, -2)))
-        um = u.conj().swapaxes(-1, -2) @ m
-        # scaled in place: a block holds several terms' arrays at once
-        u *= np.log2(np.where(ev > qstate.EIG_CUTOFF, ev, 1.0))[..., None, :]
-        lm = u @ um
-        mc = m.conj()
-        del m, u, um
-        tr = np.empty((len(order), b))
-        tr[:n_row] = np.einsum("btij,btij->bt", mc[:, :n_row],
-                               lm[:, :n_row]).real.T
-        for pos in range(n_row, len(order)):
-            # einsum sums in its operands' memory order, so a column-major
-            # factor is reduced in that layout, as it is term by term
-            tr[pos] = np.einsum("bji,bij->b", mc[:, pos].swapaxes(
-                -1, -2).copy(), lm[:, pos]).real
-        del mc
-        lm = lm.reshape(b, -1).take(inverse, axis=1).swapaxes(0, 1)
-        ready.update(zip(order, zip(tr, lm)))
-        del lm
+    step = max(1, qstate.ENTROPY_BLOCK_BYTES // vecs.nbytes)  # terms per solve
+    total, gamma = np.zeros(b), np.zeros_like(vecs) if grad else None
+    ready, t = {}, 0  # term -> (H(S), its factor index, L_S M)
+    chunks = [(order[lo:lo + step], max(0, n_row - lo), index[lo:lo + step])
+              for order, n_row, index in blocks
+              for lo in range(0, len(order), step)]
+    for order, n_row, index in chunks:
+        m = vecs.take(index, axis=1)  # (B, terms, d_keep, d_rest)
+        rho = m @ m.conj().swapaxes(-1, -2)
+        if not grad:
+            h, lm = qstate.entropy_of_op(rho).T, index  # no L_S M to add
+        else:
+            ev, u = np.linalg.eigh(qstate.hermitian_part(rho))
+            del rho
+            um = u.conj().swapaxes(-1, -2) @ m
+            # scaled in place: a block holds several terms' arrays at once
+            u *= np.log2(np.where(ev > qstate.EIG_CUTOFF, ev,
+                                  1.0))[..., None, :]
+            lm = u @ um
+            mc = m.conj()
+            del m, u, um
+            # einsum sums in its operands' memory order, so column-major
+            # factors are reduced in that layout, as they are term by term
+            h = -np.concatenate([
+                np.einsum("btij,btij->bt", mc[:, :n_row], lm[:, :n_row]),
+                np.einsum("btji,btij->bt", mc[:, n_row:].swapaxes(
+                    -1, -2).copy(), lm[:, n_row:])], axis=1).real.T
+            del mc
+            lm = lm.swapaxes(0, 1)
+        ready.update(zip(order, zip(h, index, lm)))
         while t in ready:
-            total -= terms[t][1] * ready[t][0]
-            gamma += terms[t][1] * ready.pop(t)[1]
+            h, at, lm = ready.pop(t)
+            total += terms[t][1] * h
+            if grad:
+                gamma[:, at] += terms[t][1] * lm
             t += 1
-    return total, -2.0 * gamma.reshape(ext.shape).swapaxes(-1, -2) \
-        @ psi.conj()
+        del lm  # a popped view keeps its block's array alive
+    return (total, -2.0 * gamma.reshape(ext.shape).swapaxes(-1, -2)
+            @ psi.conj()) if grad else total
 
 
 def conditional_info_with_extension(state: MultipartyState,
@@ -358,6 +343,10 @@ def esq_upper_bound(state: MultipartyState,
                            f"state of dimension {state.dim}")
         if d_e < 1:
             raise EsqError("d_E values must be >= 1")
+    passes = len(budget.d_e_values) * budget.restarts * budget.iterations
+    if passes > MAX_SEARCH_PASSES:
+        raise EsqError(f"search work of {passes} descent passes exceeds the "
+                       f"cap {MAX_SEARCH_PASSES}")
     psi, r = qstate.purification_vector(state)
 
     best_ch = trivial_channel(r)

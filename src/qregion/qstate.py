@@ -192,15 +192,22 @@ class MultipartyState:
             self.__dict__["op"] = op  # fills the cache of the ``op`` property
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)
-        if self.provenance is not None:  # a vector input's op is not kept
-            full = np.outer(psi, psi.conj()) if isinstance(op, _Ket) else op
-            rebuilt = np.zeros_like(full)
-            for br in self.provenance:
-                ket = kron_all([np.asarray(k, dtype=complex)
-                                for k in br.kets])
-                rebuilt = rebuilt + br.weight * np.outer(ket, ket.conj())
-            if np.abs(rebuilt - full).max() > _STATE_TOL:
-                raise StateError("provenance does not reproduce the operator")
+        if self.provenance is not None:
+            kets = [kron_all([np.asarray(k, dtype=complex) for k in br.kets])
+                    for br in self.provenance]
+            # compared a row block at a time: a vector input's op is not
+            # kept, and at the dimension cap one dense operator is 256 MiB
+            rows = max(1, ENTROPY_BLOCK_BYTES // (16 * d))
+            for lo in range(0, d, rows):
+                full = np.outer(psi[lo:lo + rows], psi.conj()) \
+                    if isinstance(op, _Ket) else op[lo:lo + rows]
+                rebuilt = np.zeros_like(full)
+                for br, ket in zip(self.provenance, kets):
+                    rebuilt = rebuilt + br.weight * np.outer(
+                        ket[lo:lo + rows], ket.conj())
+                if np.abs(rebuilt - full).max() > _STATE_TOL:
+                    raise StateError(
+                        "provenance does not reproduce the operator")
 
     @functools.cached_property
     def op(self) -> np.ndarray:

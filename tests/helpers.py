@@ -234,6 +234,21 @@ def cond_info_reference(psi, x_dims, groups, iso, d_e, d_g):
     return total - h_xe - (len(groups) - 1) * h_e
 
 
+def cond_info_value_reference(psi, x_dims, groups, isos, d_e, d_g):
+    """I(X1;...;Xm|E) for a stack of isometries, term by term: one
+    stacked entropy solve of each term's ``marginal_factor`` view."""
+    ext = psi @ isos.swapaxes(-1, -2)
+    dims = list(x_dims) + [d_e, d_g]
+    vecs = ext.reshape(len(isos), -1)
+    e_ax, g_ax = len(x_dims), len(x_dims) + 1
+    total = np.zeros(len(isos))
+    for keep, c in [(list(group) + [e_ax], 1) for group in groups] \
+            + [([g_ax], -1), ([e_ax], 1 - len(groups))]:
+        m = qstate.marginal_factor(vecs, dims, keep)
+        total += c * qstate.entropy_of_op(m @ m.conj().swapaxes(-1, -2))
+    return total
+
+
 def cond_info_grad_reference(psi, x_dims, groups, isos, d_e, d_g):
     """Values and Euclidean gradients of I(X1;...;Xm|E) for a stack of
     isometries, term by term: each term's factor is its own

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qregion.statespec import MixtureBranch, StateSpec
 
 from helpers import (bell_between_senders, bell_state,
                      cond_info_grad_reference, cond_info_reference,
+                     cond_info_value_reference,
                      ghz_state, perturbation_report, product_state,
                      random_mixture_spec, random_mixture_state)
 
@@ -134,6 +136,28 @@ def test_channel_validation_and_caps():
                                      iterations=1, seed=0))
     with pytest.raises(Q.StateError, match="at least one part"):
         qr.esq_upper_bound(big, [], SMALL)
+
+
+def test_search_work_cap_refuses_before_any_search(monkeypatch):
+    class Searched(Exception):
+        pass
+
+    def objective(*args, **kwargs):
+        raise Searched
+
+    monkeypatch.setattr(E, "_cond_info_extended", objective)
+    marg, parts = _panel_marginal(5), [{"A1"}, {"A2"}]
+    with pytest.raises(EsqError, match=f"search work of 32000000 descent "
+                                       f"passes exceeds the cap "
+                                       f"{E.MAX_SEARCH_PASSES}"):
+        qr.esq_upper_bound(marg, parts, EsqBudget(iterations=10 ** 6))
+    # 4 d_E values x 512 restarts x 8 iterations is the cap itself
+    at_cap = EsqBudget(restarts=512, iterations=8)
+    with pytest.raises(Searched):
+        qr.esq_upper_bound(marg, parts, at_cap)
+    with pytest.raises(EsqError, match="exceeds the cap"):
+        qr.esq_upper_bound(marg, parts,
+                           EsqBudget(restarts=512, iterations=9))
 
 
 def test_baseline_of_a_purifier_wider_than_the_cap():
@@ -334,6 +358,25 @@ def _panel_marginal(seed):
     return qr.reduced_state(st, {"A1", "A2"})
 
 
+def test_tallest_objective_call_stays_within_its_memory():
+    # 1000 restarts at d_E = d_G = 16 on a 2-qubit marginal, the largest
+    # stack the caps admit: one term's factors are 16 MiB
+    st = qr.reduced_state(qr.random_pure_state(["A1", "A2", "R"],
+                                               [2, 2, 4], 1), {"A1", "A2"})
+    groups = Q.part_groups(st, [{"A1"}, {"A2"}])
+    psi, r = Q.purification_vector(st)
+    rng = np.random.default_rng(0)
+    isos = E._polar_isometry(rng.standard_normal((1000, 256, r))
+                             + 1j * rng.standard_normal((1000, 256, r)))
+    tracemalloc.start()
+    try:
+        E._cond_info_extended(psi, st.dims, groups, isos, 16, 16, grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 141 << 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_cond_info_batch_matches_reference_rows():
     rng = np.random.default_rng(40)
     three = qr.reduced_state(
@@ -510,25 +553,22 @@ def test_term_plan_gathers_the_marginal_factors(x_dims, d_e, d_g):
         assert list(terms) == [(group + [m], 1) for group in groups] \
             + [([m + 1], -1), ([m], 1 - len(groups))]
         # every term sits at exactly one position of one block
-        assert sorted(t for blk in blocks for t in blk.order) \
+        assert sorted(t for order, _, _ in blocks for t in order) \
             == list(range(len(terms)))
-        for blk in blocks:
-            gathered = vecs.take(blk.gather, axis=1).reshape(
-                3, -1, *blk.shape)
-            for pos, t in enumerate(blk.order):
-                factor = Q.marginal_factor(np.arange(n), dims, terms[t][0])
-                assert factor.shape == blk.shape
-                assert np.array_equal(
-                    blk.gather.reshape(-1, *blk.shape)[pos], factor)
-                # the inverse reads each flat entry back from the block
-                assert np.array_equal(blk.gather[blk.inverse[pos]],
-                                      np.arange(n))
+        for order, n_row, index in blocks:
+            assert len(index) == len(order)
+            gathered = vecs.take(index, axis=1)
+            for pos, t in enumerate(order):
+                assert np.array_equal(index[pos], Q.marginal_factor(
+                    np.arange(n), dims, terms[t][0]))
                 view = Q.marginal_factor(vecs, dims, terms[t][0])
-                assert (pos < blk.n_row) == view[0].flags.c_contiguous
+                assert (pos < n_row) == view[0].flags.c_contiguous
                 assert np.array_equal(gathered[:, pos], view)
 
 
-def test_cond_info_gradient_path_matches_term_by_term_bits():
+def _term_by_term_cases():
+    """(psi, x_dims, groups, isos, d_e, d_g) on six shapes, each stack
+    of five random isometries."""
     rng = np.random.default_rng(41)
     # (2, 3, 2) and (3, 2, 2) with merged groups put some blocks out of
     # term order, so terms wait for a later block before being added
@@ -548,9 +588,27 @@ def test_cond_info_gradient_path_matches_term_by_term_bits():
             isos = E._polar_isometry(
                 rng.standard_normal((5, d_e * d_g, r))
                 + 1j * rng.standard_normal((5, d_e * d_g, r)))
-            want = cond_info_grad_reference(psi, x_dims, groups, isos,
-                                            d_e, d_g)
-            got = E._cond_info_extended(psi, x_dims, groups, isos,
-                                        d_e, d_g, grad=True)
+            yield psi, x_dims, groups, isos, d_e, d_g
+
+
+#: the default block budget, and one that puts every term in its own solve
+BLOCK_BYTES = (Q.ENTROPY_BLOCK_BYTES, 1)
+
+
+def test_cond_info_gradient_path_matches_term_by_term_bits(monkeypatch):
+    for case in _term_by_term_cases():
+        want = cond_info_grad_reference(*case)
+        for block_bytes in BLOCK_BYTES:
+            monkeypatch.setattr(Q, "ENTROPY_BLOCK_BYTES", block_bytes)
+            got = E._cond_info_extended(*case, grad=True)
             for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes(), (x_dims, d_e, d_g)
+                assert a.tobytes() == b.tobytes(), (case[1], block_bytes)
+
+
+def test_cond_info_value_path_matches_term_by_term_bits(monkeypatch):
+    for case in _term_by_term_cases():
+        want = cond_info_value_reference(*case)
+        for block_bytes in BLOCK_BYTES:
+            monkeypatch.setattr(Q, "ENTROPY_BLOCK_BYTES", block_bytes)
+            got = E._cond_info_extended(*case)
+            assert got.tobytes() == want.tobytes(), (case[1], block_bytes)

@@ -264,6 +264,27 @@ def test_random_pure_state_checks_the_cap_before_drawing():
         qr.random_pure_state(["A", "B"], [2 ** 32, 2 ** 32], 1)
 
 
+def test_provenance_is_checked_in_row_blocks_at_the_cap():
+    # twelve qubits: one dense operator is 256 MiB
+    labels = tuple(f"A{i}" for i in range(1, 12)) + ("R",)
+    spec = StateSpec("product", labels, (2,) * 12, "R", basis=(1,) * 12)
+    tracemalloc.start()
+    try:
+        state = qr.build_state(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert "op" not in vars(state)
+    # |1...10> differs from the state in the last row block alone
+    wrong = (MixtureBranch(1.0, ((0, 1),) * 11 + ((1, 0),)),)
+    with pytest.raises(StateError, match="provenance does not reproduce"):
+        state_from_vector(state.psi[:, 0], labels, (2,) * 12, wrong)
+    off = (MixtureBranch(0.4999, ((1, 0),)), MixtureBranch(0.5001, ((0, 1),)))
+    with pytest.raises(StateError, match="provenance does not reproduce"):
+        MultipartyState(("A",), (2,), np.eye(2) / 2, off)
+
+
 def test_dimension_cap_survives_int64_overflow():
     # 2**32 * 2**32 wraps to 0 in int64 arithmetic
     dims = (2 ** 32, 2 ** 32, 1)
