@@ -174,8 +174,12 @@ def _esq_fields(state, rc, args) -> tuple[dict, RegionConstants]:
                      seed=args.seed)
     if args.d_e_max < 1:
         raise esq.EsqError(f"--d-e-max must be >= 1, got {args.d_e_max}")
-    sweeps = {s: esq.d_e_sweep(state.dim_of(s), args.d_e_max)
-              for s in rc.subsets if len(s) > 1}
+    sweeps = {}
+    for s in rc.subsets[rc.m:]:  # the singletons come first
+        try:
+            sweeps[s] = esq.d_e_sweep(state.dim_of(s), args.d_e_max)
+        except esq.EsqError as err:
+            raise esq.EsqError(f"{subset_name(s)}: {err}") from None
     entries = sum(map(len, sweeps.values()))
     passes = entries * base.restarts * base.iterations
     if passes > esq.MAX_SEARCH_PASSES:

@@ -13,6 +13,7 @@ classification inherits the matching one-sided soundness.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -101,12 +102,12 @@ class EsqBudget:
 
 
 def d_e_sweep(dim: int, d_e_max: int) -> tuple[int, ...]:
-    """The d_E sweep 1..d_e_max for a state of dimension ``dim``, cut at
-    the largest d with dim * d**2 <= ESQ_DIM_CAP."""
+    """The d_E sweep 1..d_e_max for a marginal of dimension ``dim``, cut
+    at the largest d with dim * d**2 <= ESQ_DIM_CAP."""
     values = tuple(range(1, min(d_e_max,
                                 math.isqrt(ESQ_DIM_CAP // dim)) + 1))
     if not values:
-        raise EsqError(f"state dimension {dim} leaves no room for any "
+        raise EsqError(f"marginal dimension {dim} leaves no room for any "
                        f"extension within the cap {ESQ_DIM_CAP}")
     return values
 
@@ -176,27 +177,27 @@ def _embedding_isometry(d_source: int, d_e: int, d_g: int) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _term_plan(x_dims: tuple[int, ...], groups: tuple[tuple[int, ...], ...],
                d_e: int, d_g: int) -> tuple:
-    """(dims, terms, blocks) of ``_cond_info_extended`` for one shape,
-    built once: the extended dims, the (keep, c) terms in summation
-    order and, per shape of their ``qstate.marginal_factor`` factors, a
-    block (order, n_row, index): its terms, row-major factor views
-    first, how many of those there are, and the (terms, d_keep, d_rest)
-    stack of flat amplitude indices that gathers the factors."""
+    """The (keep, c) terms of ``_cond_info_extended`` for one shape, in
+    summation order (Xi E ..., G, E), built once and cut into runs of
+    consecutive terms whose ``qstate.marginal_factor`` factors share a
+    shape: per run a read-only (coefs, row_major, index) triple, the
+    terms' c, which of their factor views are row-major, and the
+    (terms, d_keep, d_rest) stack of flat amplitude indices that
+    gathers the factors."""
     dims = tuple(x_dims) + (d_e, d_g)
     e_ax, g_ax = len(x_dims), len(x_dims) + 1
-    terms = tuple((list(group) + [e_ax], 1) for group in groups) \
-        + (([g_ax], -1), ([e_ax], 1 - len(groups)))
-    at = [qstate.marginal_factor(np.arange(math.prod(dims)), dims, keep)
-          for keep, _ in terms]
-    blocks = []
-    for shape in dict.fromkeys(a.shape for a in at):
-        order = sorted((t for t, a in enumerate(at) if a.shape == shape),
-                       key=lambda t: not at[t].flags.c_contiguous)
-        index = np.stack([at[t] for t in order])
+    terms = [(list(group) + [e_ax], 1) for group in groups] \
+        + [([g_ax], -1), ([e_ax], 1 - len(groups))]
+    at = [(qstate.marginal_factor(np.arange(math.prod(dims)), dims, keep), c)
+          for keep, c in terms]
+    runs = []
+    for _, run in itertools.groupby(at, key=lambda t: t[0].shape):
+        views, coefs = zip(*run)
+        index = np.stack(views)
         index.flags.writeable = False
-        blocks.append((tuple(order), sum(
-            at[t].flags.c_contiguous for t in order), index))
-    return dims, terms, tuple(blocks)
+        runs.append((coefs, tuple(v.flags.c_contiguous for v in views),
+                     index))
+    return tuple(runs)
 
 
 def _cond_info_extended(psi: np.ndarray, x_dims: Sequence[int],
@@ -212,54 +213,43 @@ def _cond_info_extended(psi: np.ndarray, x_dims: Sequence[int],
     df = Re Tr(G^† dV): with L_S = log2 rho_S on the support,
     H(S) = -Tr[rho_S L_S] and dH(S) = -Tr[L_S d rho_S], so each term
     adds -2 c (L_S (x) I)|ext>, mapped to V by conj(psi).  Both paths
-    gather the factors of each block of the cached ``_term_plan`` by its
-    index, at most ``qstate.ENTROPY_BLOCK_BYTES`` of them (one term's at
-    least) at a time, solve them as one stack, and add each term in
-    summation order as soon as every earlier term is in; every number is
-    the one a term-by-term evaluation gives.
+    walk the runs of the cached ``_term_plan`` in order, gather at most
+    ``qstate.ENTROPY_BLOCK_BYTES`` of a run's factors (one term's at
+    least) by its index, solve them as one stack, and add each term as
+    soon as its solve returns; every number is the one a term-by-term
+    evaluation gives.
     """
     ext = psi @ isos.swapaxes(-1, -2)  # (B, dim_X, d_e*d_g)
-    b = len(isos)
-    vecs = ext.reshape(b, -1)
-    dims, terms, blocks = _term_plan(tuple(x_dims), tuple(map(tuple, groups)),
-                                     d_e, d_g)
+    vecs = ext.reshape(len(isos), -1)
     step = max(1, qstate.ENTROPY_BLOCK_BYTES // vecs.nbytes)  # terms per solve
-    total, gamma = np.zeros(b), np.zeros_like(vecs) if grad else None
-    ready, t = {}, 0  # term -> (H(S), its factor index, L_S M)
-    chunks = [(order[lo:lo + step], max(0, n_row - lo), index[lo:lo + step])
-              for order, n_row, index in blocks
-              for lo in range(0, len(order), step)]
-    for order, n_row, index in chunks:
-        m = vecs.take(index, axis=1)  # (B, terms, d_keep, d_rest)
-        rho = m @ m.conj().swapaxes(-1, -2)
-        if not grad:
-            h, lm = qstate.entropy_of_op(rho).T, index  # no L_S M to add
-        else:
+    total, gamma = np.zeros(len(isos)), np.zeros_like(vecs) if grad else None
+    for coefs, row_major, index in _term_plan(
+            tuple(x_dims), tuple(map(tuple, groups)), d_e, d_g):
+        for lo in range(0, len(coefs), step):
+            cs, at = coefs[lo:lo + step], index[lo:lo + step]
+            m = vecs.take(at, axis=1)  # (B, terms, d_keep, d_rest)
+            rho = m @ m.conj().swapaxes(-1, -2)
+            if not grad:
+                for c, h in zip(cs, qstate.entropy_of_op(rho).T):
+                    total += c * h
+                continue
             ev, u = np.linalg.eigh(qstate.hermitian_part(rho))
             del rho
             um = u.conj().swapaxes(-1, -2) @ m
-            # scaled in place: a block holds several terms' arrays at once
+            # scaled in place: a solve holds several terms' arrays at once
             u *= np.log2(np.where(ev > qstate.EIG_CUTOFF, ev,
                                   1.0))[..., None, :]
             lm = u @ um
             mc = m.conj()
             del m, u, um
-            # einsum sums in its operands' memory order, so column-major
-            # factors are reduced in that layout, as they are term by term
-            h = -np.concatenate([
-                np.einsum("btij,btij->bt", mc[:, :n_row], lm[:, :n_row]),
-                np.einsum("btji,btij->bt", mc[:, n_row:].swapaxes(
-                    -1, -2).copy(), lm[:, n_row:])], axis=1).real.T
-            del mc
-            lm = lm.swapaxes(0, 1)
-        ready.update(zip(order, zip(h, index, lm)))
-        while t in ready:
-            h, at, lm = ready.pop(t)
-            total += terms[t][1] * h
-            if grad:
-                gamma[:, at] += terms[t][1] * lm
-            t += 1
-        del lm  # a popped view keeps its block's array alive
+            for k, c in enumerate(cs):
+                # einsum sums in its operands' memory order: a column-major
+                # factor is reduced in that layout, as it is term by term
+                mc_k = mc[:, k] if row_major[lo + k] else \
+                    mc[:, k].swapaxes(-1, -2).copy().swapaxes(-1, -2)
+                total -= c * np.einsum("bij,bij->b", mc_k, lm[:, k]).real
+                gamma[:, at[k]] += c * lm[:, k]
+            del mc, mc_k, lm  # before the next gather
     return (total, -2.0 * gamma.reshape(ext.shape).swapaxes(-1, -2)
             @ psi.conj()) if grad else total
 

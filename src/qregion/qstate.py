@@ -446,18 +446,17 @@ def multiparty_info(state: MultipartyState, parts: Sequence[Iterable[str]],
 
     Without ``cond`` this is sum_i H(Xi) - H(X1...Xm); with ``cond`` all
     entropies become conditional on the ``cond`` subsystem.  Two parts
-    reproduce the (conditional) mutual information.
+    reproduce the (conditional) mutual information.  Every entropy comes
+    from one ``entropies`` call; H(E) = 0 stands for an empty ``cond``.
     """
     parts = [frozenset(p) for p in parts]
     cond = frozenset(cond) if cond is not None else frozenset()
     part_groups(state, parts, cond)
     every = frozenset().union(*parts)
-    if not cond:
-        total = sum(entropy(state, p) for p in parts)
-        return total - entropy(state, every)
-    h_e = entropy(state, cond)
-    total = sum(entropy(state, p | cond) - h_e for p in parts)
-    return total - (entropy(state, every | cond) - h_e)
+    h = entropies(state, [p | cond for p in parts] + [every | cond]
+                  + ([cond] if cond else [])).tolist()
+    h_e = h.pop() if cond else 0.0  # x - 0.0 is x, bit for bit
+    return sum(x - h_e for x in h[:-1]) - (h[-1] - h_e)
 
 
 def purification_vector(state: MultipartyState) -> tuple[np.ndarray, int]:

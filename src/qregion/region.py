@@ -262,7 +262,8 @@ def membership(rc: RegionConstants, q: RatePoint) -> Membership:
     """Classify a rate point against every constraint at ``FEAS_TOL``."""
     if sorted(q.senders) != sorted(rc.senders):
         raise RegionError("rate point senders do not match the region")
-    totals = rc.incidence @ np.array([q.rate(lab) for lab in rc.senders])
+    with np.errstate(over="ignore", invalid="ignore"):  # huge rates sum to inf
+        totals = rc.incidence @ np.array([q.rate(lab) for lab in rc.senders])
     below = totals < rc.bounds - FEAS_TOL
     on = ~below & (np.abs(totals - rc.bounds) <= FEAS_TOL)
     violated = tuple(rc.subsets[r] for r in np.flatnonzero(below))
@@ -278,7 +279,8 @@ def greedy_minimize(rc: RegionConstants,
     Senders are ordered by ascending cost (ties broken by label), which
     places the largest cost at the final position where it receives the
     smallest chain increment; the resulting corner point attains the LP
-    optimum.  Costs are given in ``rc.senders`` order.
+    optimum.  Costs are given in ``rc.senders`` order; costs whose
+    objective overflows are refused.
     """
     costs = [float(c) for c in costs]
     if len(costs) != rc.m:
@@ -289,7 +291,10 @@ def greedy_minimize(rc: RegionConstants,
     cost_of = dict(zip(rc.senders, costs))
     perm = tuple(sorted(rc.senders, key=lambda lab: (cost_of[lab], lab)))
     pt = corner_point(rc, perm)
-    value = float(np.dot(pt.as_array(), costs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.dot(pt.as_array(), costs))
+    if not math.isfinite(value):
+        raise RegionError(f"the objective at costs {costs} is not finite")
     return pt, value
 
 

@@ -273,6 +273,21 @@ def cond_info_grad_reference(psi, x_dims, groups, isos, d_e, d_g):
         @ psi.conj()
 
 
+def multiparty_info_reference(state, parts, cond=None):
+    """Multiparty information I(X1;...;Xm) or I(X1;...;Xm|E) in bits,
+    one ``entropy`` solve per mask, in the formula's order."""
+    parts = [frozenset(p) for p in parts]
+    cond = frozenset(cond) if cond is not None else frozenset()
+    qstate.part_groups(state, parts, cond)
+    every = frozenset().union(*parts)
+    if not cond:
+        total = sum(qstate.entropy(state, p) for p in parts)
+        return total - qstate.entropy(state, every)
+    h_e = qstate.entropy(state, cond)
+    total = sum(qstate.entropy(state, p | cond) - h_e for p in parts)
+    return total - (qstate.entropy(state, every | cond) - h_e)
+
+
 # ---------------------------------------------------------------------------
 # information and estimate oracles: second computations of library numbers
 

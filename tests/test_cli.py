@@ -304,6 +304,76 @@ def test_greedy_rejects_non_finite_costs(tmp_path, capsys, ghz_spec_file,
     assert not out.exists()
 
 
+def test_greedy_refuses_an_objective_that_overflows(tmp_path, capsys):
+    spec = tmp_path / "ghz3.spec"
+    spec.write_text("{family: ghz, labels: [A1, A2, A3, R], "
+                    "dims: [2, 2, 2, 2], reference: R}\n")
+    out = tmp_path / "g.json"
+    assert run_command(["greedy", "--state", str(spec), "--out", str(out),
+                        "--costs", "1e308,1e308,1e308"]) == 2
+    err = capsys.readouterr().err
+    assert "error: the objective at costs [1e+308, 1e+308, 1e+308] is not " \
+        "finite" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_classify_compares_huge_rates_without_a_warning(tmp_path, capsys,
+                                                        ghz_spec_file):
+    out = tmp_path / "c.json"
+    assert run_command(["classify", "--state", str(ghz_spec_file), "--out",
+                        str(out), "--point", "1e308,1e308", "--d-e-max", "1",
+                        "--restarts", "1", "--iterations", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "achievable"
+    assert captured.err == ""
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "achievable"
+    assert report["inner_membership"] == "inside"
+
+
+def test_esq_names_the_subset_with_no_room_for_an_extension(tmp_path, capsys):
+    spec = tmp_path / "big.spec"
+    spec.write_text("{family: random_pure, labels: [A1, A2, R], "
+                    "dims: [32, 64, 2], seed: 3, reference: R}\n")
+    out = tmp_path / "esq.json"
+    assert run_command(["esq", "--state", str(spec), "--out", str(out)]) == 2
+    assert "error: A1+A2: marginal dimension 2048 leaves no room for any " \
+        "extension within the cap 1024" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _three_label_spec(tmp_path):
+    path = tmp_path / "w.spec"
+    path.write_text("{family: random_pure, labels: [A1, A2, R], "
+                    "dims: [2, 2, 2], seed: 6, reference: R}\n")
+    return path
+
+
+def test_simulate_sender_flag_picks_the_sender(tmp_path):
+    spec = _three_label_spec(tmp_path)
+    out = tmp_path / "curve.csv"
+    assert run_command(["simulate", "--state", str(spec), "--out", str(out),
+                        "--seed", "4", "--copies", "2", "--grid", "0,0.5,1",
+                        "--trials", "5", "--sender", "A2"]) == 0
+    state = qr.build_state(qr.parse_state_spec(spec.read_text()))
+    want = qr.decoupling_curve(state, "A2", "R", 2, [0.0, 0.5, 1.0], 5, 4)
+    assert out.read_text() == want.to_csv()
+
+
+@pytest.mark.parametrize("sender, message", [
+    ("R", "sender and reference must differ"),
+    ("Z", "unknown label 'Z'"),
+], ids=["reference", "unknown"])
+def test_simulate_sender_flag_refusals(tmp_path, capsys, sender, message):
+    out = tmp_path / "curve.csv"
+    assert run_command(["simulate", "--state", str(_three_label_spec(
+        tmp_path)), "--out", str(out), "--copies", "1", "--grid", "0",
+        "--trials", "2", "--sender", sender]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_nan_grid(tmp_path, capsys, ghz_spec_file):
     assert run_command(["simulate", "--state", str(ghz_spec_file),
                         "--out", str(tmp_path / "c.csv"), "--copies", "2",

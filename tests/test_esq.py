@@ -539,39 +539,52 @@ def test_budget_rejects_negative_counts(field, value):
 # ---------------------------------------------------------------------------
 # the term plan
 
-@pytest.mark.parametrize("x_dims", [(2, 2), (2, 3), (2, 2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("x_dims", [(2, 2), (2, 3), (2, 2, 2), (3, 2, 2),
+                                    (2, 3, 2)])
 @pytest.mark.parametrize("d_e, d_g", [(1, 2), (2, 3), (3, 1)])
 def test_term_plan_gathers_the_marginal_factors(x_dims, d_e, d_g):
     m = len(x_dims)
+    dims = tuple(x_dims) + (d_e, d_g)
+    n = math.prod(dims)
+    vecs = np.random.default_rng(m).standard_normal((3, n))
     for groups in ([[i] for i in range(m)], [[i] for i in reversed(range(m))],
                    [list(range(m - 1)), [m - 1]]):
-        dims, terms, blocks = E._term_plan(x_dims, tuple(map(tuple, groups)),
-                                           d_e, d_g)
-        assert dims == tuple(x_dims) + (d_e, d_g)
-        n = math.prod(dims)
-        vecs = np.random.default_rng(m).standard_normal((3, n))
-        assert list(terms) == [(group + [m], 1) for group in groups] \
+        runs = E._term_plan(x_dims, tuple(map(tuple, groups)), d_e, d_g)
+        terms = [(group + [m], 1) for group in groups] \
             + [([m + 1], -1), ([m], 1 - len(groups))]
-        # every term sits at exactly one position of one block
-        assert sorted(t for order, _, _ in blocks for t in order) \
-            == list(range(len(terms)))
-        for order, n_row, index in blocks:
-            assert len(index) == len(order)
+        # the runs, concatenated, are the terms in summation order
+        assert [c for coefs, _, _ in runs for c in coefs] \
+            == [c for _, c in terms]
+        t = 0
+        for coefs, row_major, index in runs:
+            assert len(coefs) == len(row_major) == len(index)
+            assert not index.flags.writeable
             gathered = vecs.take(index, axis=1)
-            for pos, t in enumerate(order):
+            for pos in range(len(coefs)):
+                keep = terms[t + pos][0]
                 assert np.array_equal(index[pos], Q.marginal_factor(
-                    np.arange(n), dims, terms[t][0]))
-                view = Q.marginal_factor(vecs, dims, terms[t][0])
-                assert (pos < n_row) == view[0].flags.c_contiguous
+                    np.arange(n), dims, keep))
+                view = Q.marginal_factor(vecs, dims, keep)
+                assert row_major[pos] == view[0].flags.c_contiguous
                 assert np.array_equal(gathered[:, pos], view)
+            t += len(coefs)
+        # each run is maximal: the next run's factors have another shape
+        shapes = [index.shape[1:] for _, _, index in runs]
+        assert all(a != b for a, b in zip(shapes, shapes[1:]))
+    if x_dims == (2, 3, 2):
+        # the qutrit's X2 E term parts the two qubit ones: each of the
+        # three X_i E terms starts its own run
+        runs = E._term_plan(x_dims, ((0,), (1,), (2,)), d_e, d_g)
+        starts = np.cumsum([0] + [len(coefs) for coefs, _, _ in runs])
+        assert {0, 1, 2} <= set(starts.tolist())
 
 
 def _term_by_term_cases():
     """(psi, x_dims, groups, isos, d_e, d_g) on six shapes, each stack
     of five random isometries."""
     rng = np.random.default_rng(41)
-    # (2, 3, 2) and (3, 2, 2) with merged groups put some blocks out of
-    # term order, so terms wait for a later block before being added
+    # (2, 3, 2) cuts its qubit Xi E terms into separate runs, and
+    # (3, 2, 2) with merged groups gives parts of different shapes
     for x_dims, groups in [((2, 2), [[0], [1]]), ((2, 3), [[1], [0]]),
                            ((2, 2, 2), [[0], [1], [2]]),
                            ((2, 3, 2), [[0], [1], [2]]),

@@ -9,8 +9,8 @@ from qregion.qstate import MultipartyState, StateError, state_from_vector
 from qregion.statespec import MixtureBranch, SpecError, StateSpec
 
 from helpers import (bell_state, bell_with_spectator,
-                     conditional_info_forms, ghz_state, product_state,
-                     random_ket)
+                     conditional_info_forms, ghz_state,
+                     multiparty_info_reference, product_state, random_ket)
 
 
 def test_ghz_rank_one_and_marginal_spectrum():
@@ -93,6 +93,28 @@ def test_multiparty_info_rejects_overlap():
         qr.multiparty_info(g, [{"A1"}, {"A1", "A2"}])
     with pytest.raises(StateError):
         qr.multiparty_info(g, [{"A1"}, {"A2"}], cond={"A2"})
+
+
+def test_multiparty_info_matches_the_one_mask_reference_bits():
+    # 40 states with 3-5 labels of dims 1-3, pure and mixed (a traced
+    # purifier), parts cut at random, with and without a conditioning set
+    rng = np.random.default_rng(44)
+    for k in range(40):
+        n = int(rng.integers(3, 6))
+        labels = [f"L{i}" for i in range(n)]
+        st = qr.random_pure_state(labels + ["P"],
+                                  rng.integers(1, 4, size=n + 1).tolist(), k)
+        if k % 2:
+            st = qr.reduced_state(st, labels)
+        order = rng.permutation(labels).tolist()
+        cond = set(order[:int(rng.integers(1, n - 1))]) if k % 4 > 1 else None
+        rest = order[len(cond or ()):]
+        cuts = rng.integers(len(rest), size=len(rest))
+        parts = [set(lab for lab, c in zip(rest, cuts) if c == i)
+                 for i in sorted(set(cuts.tolist()))]
+        got = qr.multiparty_info(st, parts, cond)
+        assert type(got) is float
+        assert got.hex() == multiparty_info_reference(st, parts, cond).hex()
 
 
 def test_conditional_forms_agree():
