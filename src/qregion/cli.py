@@ -197,6 +197,8 @@ def _esq_fields(state, rc, args) -> tuple[dict, RegionConstants]:
         raw[subset] = est
         estimates[subset_name(subset)] = {
             "value": est.value,
+            "lower": est.lower,
+            "exact": est.value - est.lower <= region.FEAS_TOL,
             "baseline": est.baseline,
             "best_kind": est.best_channel.kind,
             "d_e_values": list(budget.d_e_values),

@@ -6,9 +6,11 @@ of the state to an auxiliary system E.  Every extension arises from a
 channel acting on a purifying system, so the search space here is the
 set of Stinespring isometries applied to the canonical minimal
 purifier, searched by Riemannian gradient descent with a polar
-retraction.  The infimum is generally unattainable numerically: this
-module only ever certifies an upper bound, and the rate-point
-classification inherits the matching one-sided soundness.
+retraction.  The infimum is generally unattainable numerically: the
+search only ever certifies an upper bound, and the rate-point
+classification inherits the matching one-sided soundness.  Each
+estimate also carries a lower bound, the largest coherent information
+across a cut of the parts, and the search stops once it reaches it.
 """
 from __future__ import annotations
 
@@ -114,7 +116,14 @@ def d_e_sweep(dim: int, d_e_max: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class EsqEstimate:
+    """``lower <= E_sq <= value <= baseline`` up to rounding: ``value``
+    is half the conditional information of ``best_channel``'s
+    extension, ``lower`` the largest coherent information across a cut
+    of the parts (``_coherent_info_floor``), and ``baseline`` the
+    trivial extension's value."""
+
     value: float
+    lower: float
     baseline: float
     best_channel: ExtensionChannel
     budget: EsqBudget
@@ -282,8 +291,9 @@ def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - v @ (vg + vg.conj().swapaxes(-1, -2)) / 2
 
 
-def _riemannian_descent(objective, starts: np.ndarray,
-                        steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _riemannian_descent(objective, starts: np.ndarray, steps: int,
+                        target: float = -math.inf) \
+        -> tuple[np.ndarray, np.ndarray]:
     """Riemannian gradient descent over isometries, all restarts at once.
 
     ``objective(isos, grad)`` maps a (B, rows, cols) isometry stack to B
@@ -293,7 +303,10 @@ def _riemannian_descent(objective, starts: np.ndarray,
     1e-4 t |xi|^2 (Armijo); that restart's step t, 0.3 at first, then
     grows by 1.5, any other's halves.  A step is one stacked
     value-and-gradient call, and no restart's value ever rises.  Zero
-    steps score the starts.
+    steps score the starts.  The descent returns early, after scoring
+    the starts or after any step, once some restart's value is at most
+    ``target``; until then every number is the one a run without a
+    target gives.
     """
     v = np.array(starts, dtype=complex)
     if steps < 1:
@@ -301,12 +314,35 @@ def _riemannian_descent(objective, starts: np.ndarray,
     f, g = objective(v, True)
     xi, t = _tangent(v, g), np.full(len(v), 0.3)
     for _ in range(steps):
+        if f.min() <= target:
+            break
         trial = _polar_isometry(v - t[:, None, None] * xi)
         f_t, g_t = objective(trial, True)
         ok = f_t <= f - 1e-4 * t * (np.abs(xi) ** 2).sum(axis=(1, 2))
         v[ok], f[ok], xi[ok] = trial[ok], f_t[ok], _tangent(trial[ok], g_t[ok])
         t = np.where(ok, 1.5 * t, 0.5 * t)
     return v, f
+
+
+def _coherent_info_floor(state: MultipartyState,
+                         groups: Sequence[Sequence[int]]) -> float:
+    """L = max(0, max over nonempty proper unions S of the parts of
+    H(X_S) - H(X_K)), X_K the union of all parts: a lower bound on their
+    squashed entanglement, from one ``qstate.entropies`` call over the
+    2^k - 1 unions of the k parts.
+
+    H(X_S) - H(X_K) is the coherent information across the cut S | K∖S,
+    a lower bound on its distillable entanglement (Devetak and Winter,
+    quant-ph/0306078), which bounds the bipartite squashed entanglement
+    from below (Christandl and Winter, quant-ph/0308088).  By strong
+    subadditivity I(X1;...;Xk|E) >= I(X_S; X_{K∖S}|E) for every
+    extension, so the multiparty quantity is at least the bipartite one.
+    """
+    unions = [[state.labels[i] for bit, group in enumerate(groups)
+               if s >> bit & 1 for i in group]
+              for s in range(1, 1 << len(groups))]
+    h = qstate.entropies(state, unions)  # the last union is X_K
+    return max(0.0, *(h[:-1] - h[-1]).tolist())
 
 
 def esq_upper_bound(state: MultipartyState,
@@ -325,6 +361,13 @@ def esq_upper_bound(state: MultipartyState,
     which supplies the reported value: half the smallest conditional
     information found, clamped to [0, baseline]; deterministic given the
     budget seed.
+
+    The search stops once the best conditional information is at most
+    twice ``lower + FEAS_TOL``, ``lower`` the ``_coherent_info_floor``
+    of the parts, since no extension can then lower the value by more
+    than ``FEAS_TOL``: the flag is not scored when the baseline meets
+    that target, no sweep entry starts once the best value meets it,
+    and a descent returns as soon as one of its restarts meets it.
     """
     groups = qstate.part_groups(state, parts)
     for d_e in budget.d_e_values:
@@ -338,11 +381,13 @@ def esq_upper_bound(state: MultipartyState,
         raise EsqError(f"search work of {passes} descent passes exceeds the "
                        f"cap {MAX_SEARCH_PASSES}")
     psi, r = qstate.purification_vector(state)
+    lower = _coherent_info_floor(state, groups)
+    target = 2.0 * (lower + region.FEAS_TOL)  # on the raw, unhalved value
 
     best_ch = trivial_channel(r)
     baseline_raw = best_raw = conditional_info_with_extension(state, parts,
                                                               best_ch)
-    if state.provenance is not None:
+    if state.provenance is not None and best_raw > target:
         nb = len(state.provenance)
         if state.dim * nb * nb <= ESQ_DIM_CAP:
             flag = classical_flag_channel(state)
@@ -352,6 +397,8 @@ def esq_upper_bound(state: MultipartyState,
 
     winner = None  # (d_e, d_g, isometry) of the best descent, if any leads
     for d_e in sorted(set(budget.d_e_values)):  # d_G = d_E
+        if best_raw <= target:
+            break  # no extension can lower the value by more than FEAS_TOL
         if d_e * d_e < r or budget.restarts < 1:
             continue  # no isometry from the purifier exists, or no restarts
         # restart i draws its real and imaginary parts from (seed, i)
@@ -362,7 +409,7 @@ def esq_upper_bound(state: MultipartyState,
         vs, raws = _riemannian_descent(
             lambda isos, grad: _cond_info_extended(
                 psi, state.dims, groups, isos, d_e, d_e, grad),
-            np.stack(starts), STEPS_PER_PASS * budget.iterations)
+            np.stack(starts), STEPS_PER_PASS * budget.iterations, target)
         i = int(np.argmin(raws))
         if raws[i] < best_raw:
             best_raw, winner = float(raws[i]), (d_e, d_e, vs[i])
@@ -373,7 +420,7 @@ def esq_upper_bound(state: MultipartyState,
         best_raw = conditional_info_with_extension(state, parts, best_ch)
     baseline = max(0.0, 0.5 * baseline_raw)
     value = min(baseline, max(0.0, 0.5 * best_raw))
-    return EsqEstimate(value, baseline, best_ch, budget)
+    return EsqEstimate(value, lower, baseline, best_ch, budget)
 
 
 # ---------------------------------------------------------------------------

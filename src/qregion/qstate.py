@@ -195,17 +195,15 @@ class MultipartyState:
         if self.provenance is not None:
             kets = [kron_all([np.asarray(k, dtype=complex) for k in br.kets])
                     for br in self.provenance]
-            # compared a row block at a time: a vector input's op is not
-            # kept, and at the dimension cap one dense operator is 256 MiB
+            # compared a row block at a time: at the dimension cap one
+            # dense operator is 256 MiB
             rows = max(1, ENTROPY_BLOCK_BYTES // (16 * d))
             for lo in range(0, d, rows):
-                full = np.outer(psi[lo:lo + rows], psi.conj()) \
-                    if isinstance(op, _Ket) else op[lo:lo + rows]
-                rebuilt = np.zeros_like(full)
+                rebuilt = np.zeros_like(op[lo:lo + rows])
                 for br, ket in zip(self.provenance, kets):
                     rebuilt = rebuilt + br.weight * np.outer(
                         ket[lo:lo + rows], ket.conj())
-                if np.abs(rebuilt - full).max() > _STATE_TOL:
+                if np.abs(rebuilt - op[lo:lo + rows]).max() > _STATE_TOL:
                     raise StateError(
                         "provenance does not reproduce the operator")
 
@@ -248,16 +246,14 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def state_from_vector(vec: np.ndarray, labels: Sequence[str],
-                      dims: Sequence[int],
-                      provenance=None) -> MultipartyState:
+                      dims: Sequence[int]) -> MultipartyState:
     vec = np.asarray(vec, dtype=complex)
     if not np.isfinite(vec).all():
         raise StateError("vector has non-finite entries")
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise StateError("zero vector")
-    return MultipartyState(tuple(labels), tuple(dims), _Ket(vec / norm),
-                           provenance)
+    return MultipartyState(tuple(labels), tuple(dims), _Ket(vec / norm))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def state_from_vector(vec: np.ndarray, labels: Sequence[str],
 def build_state(spec: StateSpec) -> MultipartyState:
     """Construct the state named by a validated StateSpec.
 
-    Mixture and product families record their explicit decomposition as
+    The mixture family records its explicit decomposition as
     provenance; random families are deterministic given the seed.  The
     dimension cap is checked before any amplitude is allocated.
     """
@@ -277,24 +273,16 @@ def build_state(spec: StateSpec) -> MultipartyState:
     return _BUILDERS[spec.family](spec)
 
 
-def _basis_ket(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
-def _basis_sum(spec: StateSpec, strings,
-               provenance=None) -> MultipartyState:
+def _basis_sum(spec: StateSpec, strings) -> MultipartyState:
     """Equal-weight superposition of basis strings (one row each, one
     index per label)."""
     vec = np.zeros(math.prod(spec.dims), dtype=complex)
     vec[np.ravel_multi_index(np.asarray(strings).T, spec.dims)] = 1
-    return state_from_vector(vec, spec.labels, spec.dims, provenance)
+    return state_from_vector(vec, spec.labels, spec.dims)
 
 
 def _build_product(spec: StateSpec) -> MultipartyState:
-    kets = tuple(_basis_ket(d, b) for d, b in zip(spec.dims, spec.basis))
-    return _basis_sum(spec, [spec.basis], (MixtureBranch(1.0, kets),))
+    return _basis_sum(spec, [spec.basis])
 
 
 def _build_ghz(spec: StateSpec) -> MultipartyState:

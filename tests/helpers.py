@@ -334,6 +334,59 @@ def perturbation_report(a, b, parts, budget=esq.EsqBudget()):
     }
 
 
+def coherent_info_floor_reference(state, parts):
+    """max(0, max over nonempty proper unions S of the parts of
+    H(X_S) - H(X_K)), every entropy an ``eigvalsh`` of the dense
+    marginal of ``op``."""
+    parts = [frozenset(p) for p in parts]
+    h = {}
+    for size in range(1, len(parts) + 1):
+        for combo in itertools.combinations(parts, size):
+            keep = state.indices_of(frozenset().union(*combo))
+            h[combo] = entropy_reference(
+                partial_trace_op(state.op, state.dims, keep))
+    h_all = h.pop(tuple(parts))
+    return max([0.0] + [v - h_all for v in h.values()])
+
+
+def esq_search_reference(state, parts, budget=esq.EsqBudget()):
+    """(value, winning channel kind, its d_E) of the extension search
+    with no stop: the baseline, the flag and every sweep entry, each
+    descent a no-target ``_riemannian_descent`` call."""
+    groups = qstate.part_groups(state, parts)
+    psi, r = qstate.purification_vector(state)
+    best = esq.trivial_channel(r)
+    baseline_raw = best_raw = esq.conditional_info_with_extension(
+        state, parts, best)
+    if state.provenance is not None:
+        nb = len(state.provenance)
+        if state.dim * nb * nb <= esq.ESQ_DIM_CAP:
+            flag = esq.classical_flag_channel(state)
+            raw = esq.conditional_info_with_extension(state, parts, flag)
+            if raw < best_raw:
+                best, best_raw = flag, raw
+    winner = None
+    for d_e in sorted(set(budget.d_e_values)):
+        if d_e * d_e < r or budget.restarts < 1:
+            continue
+        starts = [esq._embedding_isometry(r, d_e, d_e)] + [
+            esq._polar_isometry(g[0] + 1j * g[1]) for g in (
+                np.random.default_rng([budget.seed, i]).standard_normal(
+                    (2, d_e * d_e, r)) for i in range(1, budget.restarts))]
+        vs, raws = esq._riemannian_descent(
+            lambda isos, grad: esq._cond_info_extended(
+                psi, state.dims, groups, isos, d_e, d_e, grad),
+            np.stack(starts), esq.STEPS_PER_PASS * budget.iterations)
+        i = int(np.argmin(raws))
+        if raws[i] < best_raw:
+            best_raw, winner = float(raws[i]), (d_e, d_e, vs[i])
+    if winner is not None:
+        best = esq.ExtensionChannel(*winner, "parameterized")
+        best_raw = esq.conditional_info_with_extension(state, parts, best)
+    baseline = max(0.0, 0.5 * baseline_raw)
+    return min(baseline, max(0.0, 0.5 * best_raw)), best.kind, best.d_e
+
+
 # ---------------------------------------------------------------------------
 # region references: the loop vertex enumeration and corner dedup that the
 # batched and windowed versions in qregion.region replaced

@@ -17,8 +17,8 @@ from qregion.cli import _emit, run_command
 from qregion.hrep import export_h_representation, parse_h_representation
 from qregion.region import RegionConstants, nonempty_subsets
 
-from helpers import (emit_reference, ghz_state, random_mixture_spec,
-                     random_sender_state)
+from helpers import (emit_reference, esq_search_reference, ghz_state,
+                     random_mixture_spec, random_sender_state)
 
 GHZ_TEXT = "{family: ghz, labels: [A1, A2, R], dims: [2, 2, 2], reference: R}\n"
 BELL_SENDERS_TEXT = ("{family: bell, labels: [A1, A2, R], dims: [2, 2, 1], "
@@ -269,6 +269,77 @@ def test_esq_command_uses_mixture_provenance(tmp_path):
     est = json.loads(out.read_text())["esq_estimates"]["A1+A2"]
     assert est["best_kind"] == "classical_flag"
     assert est["value"] == 0
+
+
+def _family_text(family, m, d_ref=2, **fields) -> str:
+    labels = [f"A{i + 1}" for i in range(m)] + ["R"]
+    return json.dumps({"family": family, "labels": labels,
+                       "dims": [2] * m + [d_ref], "reference": "R",
+                       **fields}) + "\n"
+
+
+#: specs whose every subset the coherent-information floor pins: a GHZ
+#: state, a product state, and a Bell pair between A1 and A2 with the
+#: reference trivial or a spectator in |0>
+EXACT_FAMILIES = {
+    "ghz": lambda m: _family_text("ghz", m),
+    "product": lambda m: _family_text("product", m,
+                                      basis=[k % 2 for k in range(m + 1)]),
+    "bell-senders": lambda m: _family_text("bell", m, d_ref=1,
+                                           pair=["A1", "A2"]),
+    "bell-spectators": lambda m: _family_text("bell", m, pair=["A1", "A2"]),
+}
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("family", EXACT_FAMILIES)
+def test_esq_is_exact_on_every_subset_of_structured_specs(tmp_path, family,
+                                                         m):
+    path = tmp_path / "s.spec"
+    path.write_text(EXACT_FAMILIES[family](m))
+    out = tmp_path / "esq.json"
+    assert run_command(["esq", "--state", str(path), "--out", str(out)]) == 0
+    estimates = json.loads(out.read_text())["esq_estimates"]
+    assert len(estimates) == 2 ** m - m - 1
+    for subset, est in estimates.items():
+        assert est["exact"] is True, subset
+        assert abs(est["value"] - est["lower"]) <= qr.region.FEAS_TOL
+        # a pair of A1 and A2 is one ebit, whatever else the subset holds
+        pair = family.startswith("bell") and {"A1", "A2"} <= set(
+            subset.split("+"))
+        assert est["lower"] == pytest.approx(1.0 if pair else 0.0, abs=1e-9)
+
+
+#: specs on which the stop must leave every reported value's bytes
+STOP_SPECS = {
+    **{f"ghz{m}": _family_text("ghz", m) for m in (3, 4, 5, 6)},
+    "w3": _family_text("w", 3),
+    **{f"random{m}": _family_text("random_pure", m, seed=5)
+       for m in (3, 4)},
+    "mixture": _mixture_text(random_mixture_spec(
+        np.random.default_rng(9), ("A1", "A2", "A3", "R"), (2, 2, 2, 1),
+        branches=3)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:input state is not pure")
+@pytest.mark.parametrize("name", STOP_SPECS)
+def test_esq_values_equal_the_search_without_a_stop(tmp_path, name):
+    path = tmp_path / "s.spec"
+    path.write_text(STOP_SPECS[name])
+    out = tmp_path / "esq.json"
+    assert run_command(["esq", "--state", str(path), "--out", str(out),
+                        "--seed", "3"]) == 0
+    report = json.loads(out.read_text())
+    state = qr.build_state(qr.parse_state_spec(STOP_SPECS[name]))
+    for subset, est in report["esq_estimates"].items():
+        labels = subset.split("+")
+        marginal = qr.reduced_state(state, labels)
+        budget = qr.EsqBudget(qr.esq.d_e_sweep(
+            marginal.dim, max(qr.EsqBudget().d_e_values)), seed=3)
+        value, _, _ = esq_search_reference(
+            marginal, [{lab} for lab in labels], budget)
+        assert json.loads(_emit(value)) == est["value"], subset
 
 
 def test_linalg_failure_is_internal_error(tmp_path, ghz_spec_file,

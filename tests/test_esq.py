@@ -15,10 +15,11 @@ from qregion.region import RatePoint
 from qregion.statespec import MixtureBranch, StateSpec
 
 from helpers import (bell_between_senders, bell_state,
-                     cond_info_grad_reference, cond_info_reference,
-                     cond_info_value_reference,
-                     ghz_state, perturbation_report, product_state,
-                     random_mixture_spec, random_mixture_state)
+                     coherent_info_floor_reference, cond_info_grad_reference,
+                     cond_info_reference, cond_info_value_reference,
+                     esq_search_reference, ghz_state, perturbation_report,
+                     product_state, random_mixture_spec,
+                     random_mixture_state)
 
 SMALL = EsqBudget(d_e_values=(1, 2), restarts=2, iterations=2, seed=0)
 
@@ -625,3 +626,125 @@ def test_cond_info_value_path_matches_term_by_term_bits(monkeypatch):
             monkeypatch.setattr(Q, "ENTROPY_BLOCK_BYTES", block_bytes)
             got = E._cond_info_extended(*case)
             assert got.tobytes() == want.tobytes(), (case[1], block_bytes)
+
+
+# ---------------------------------------------------------------------------
+# the bracket: lower <= E_sq <= value, and the search stops at the floor
+
+FEAS_TOL = qr.region.FEAS_TOL
+
+
+def _bracket_case(family, seed):
+    """(state, parts) of one family, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    if family == "random":  # a 2- or 3-sender marginal, qubits or a qutrit
+        m = int(rng.integers(2, 4))
+        dims = [int(d) for d in rng.choice([2, 2, 3], m)] \
+            + [int(rng.integers(1, 5))]
+        labels = [f"A{i + 1}" for i in range(m)]
+        state = qr.random_pure_state(labels + ["R"], dims, seed)
+        return qr.reduced_state(state, labels), [{lab} for lab in labels]
+    if family == "mixture":
+        return random_mixture_state(rng, branches=int(rng.integers(2, 4))), \
+            [{"X1"}, {"X2"}]
+    m = int(rng.integers(2, 4))
+    labels = tuple(f"A{i + 1}" for i in range(m)) + ("R",)
+    spec = {"ghz": StateSpec("ghz", labels, (2,) * (m + 1), "R"),
+            "product": StateSpec("product", labels, (2,) * (m + 1), "R",
+                                 basis=tuple(rng.integers(0, 2, m + 1))),
+            # a Bell pair between senders: every subset holding it has L = 1
+            "bell": StateSpec("bell", labels, (2,) * m + (1,), "R",
+                              pair=("A1", "A2"))}[family]
+    state = qr.build_state(spec)
+    return qr.reduced_state(state, labels[:m]), [{lab} for lab in labels[:m]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(family=st.sampled_from(["random", "mixture", "ghz", "product",
+                               "bell"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       d_e_values=st.sets(st.integers(1, 3), min_size=1),
+       restarts=st.integers(0, 3), iterations=st.integers(0, 1),
+       budget_seed=st.integers(0, 2 ** 16))
+def test_estimate_brackets_the_squashed_entanglement(
+        family, seed, d_e_values, restarts, iterations, budget_seed):
+    state, parts = _bracket_case(family, seed)
+    budget = EsqBudget(tuple(sorted(d_e_values)), restarts, iterations,
+                       budget_seed)
+    est = qr.esq_upper_bound(state, parts, budget)
+    assert est.lower - FEAS_TOL <= est.value <= est.baseline
+    raw = qr.conditional_info_with_extension(state, parts, est.best_channel)
+    assert est.value == min(est.baseline, max(0.0, 0.5 * raw))
+
+
+def _floor_cases():
+    rng = np.random.default_rng(23)
+    for seed in range(3):  # random pure marginals, some with merged parts
+        st4 = qr.random_pure_state(["A1", "A2", "A3", "R"], [2, 2, 2, 2],
+                                   seed)
+        marg = qr.reduced_state(st4, {"A1", "A2", "A3"})
+        yield marg, [{"A1"}, {"A2"}, {"A3"}]
+        yield marg, [{"A1", "A3"}, {"A2"}]
+        yield qr.reduced_state(st4, {"A1", "A2"}), [{"A1"}, {"A2"}]
+    for branches in (2, 3, 4):
+        yield random_mixture_state(rng, branches=branches), [{"X1"}, {"X2"}]
+        yield random_mixture_state(rng, ("X1", "X2", "X3"), (2, 3, 2),
+                                   branches), [{"X1"}, {"X2"}, {"X3"}]
+    for seed in range(3):  # qutrit parts
+        st3 = qr.random_pure_state(["A1", "A2", "R"], [3, 2, 2], seed)
+        yield qr.reduced_state(st3, {"A1", "A2"}), [{"A1"}, {"A2"}]
+        yield st3, [{"A1"}, {"A2"}, {"R"}]
+    yield bell_between_senders(), [{"A1"}, {"A2"}]
+
+
+def test_lower_matches_the_dense_marginal_reference():
+    positive = 0
+    for state, parts in _floor_cases():
+        want = coherent_info_floor_reference(state, parts)
+        est = qr.esq_upper_bound(state, parts, EsqBudget(restarts=0))
+        assert abs(est.lower - want) <= 1e-10, (state.dims, parts)
+        positive += want > 1e-6
+    assert positive >= 5  # the floor is not 0 everywhere
+
+
+@pytest.mark.parametrize("budget_seed", [0, 7, 97])
+@pytest.mark.parametrize("seed", [101, 102, 103])
+def test_stop_leaves_the_benchmark_panel_bits(seed, budget_seed):
+    marg, parts = _panel_marginal(seed), [{"A1"}, {"A2"}]
+    est = qr.esq_upper_bound(marg, parts, EsqBudget(seed=budget_seed))
+    value, kind, d_e = esq_search_reference(marg, parts,
+                                            EsqBudget(seed=budget_seed))
+    assert est.value.hex() == value.hex()
+    assert (est.best_channel.kind, est.best_channel.d_e) == (kind, d_e)
+
+
+def test_descent_stops_at_its_target():
+    marg = _panel_marginal(6)
+    groups = Q.part_groups(marg, [{"A1"}, {"A2"}])
+    psi, r = Q.purification_vector(marg)
+    rng = np.random.default_rng(3)
+    starts = E._polar_isometry(rng.standard_normal((3, 4, r))
+                               + 1j * rng.standard_normal((3, 4, r)))
+    calls = []
+
+    def objective(isos, grad):
+        calls.append(grad)
+        return E._cond_info_extended(psi, marg.dims, groups, isos, 2, 2, grad)
+
+    _, free = E._riemannian_descent(objective, starts, 12)
+    assert len(calls) == 13
+    # a target the scored starts already meet: no step is taken
+    calls.clear()
+    _, vals = E._riemannian_descent(objective, starts, 12, math.inf)
+    assert len(calls) == 1 and vals.min() == objective(starts, True)[0].min()
+    # a target met midway: the descent stops at the first step meeting it,
+    # with the numbers of the run without a target up to there
+    mid = 0.5 * (objective(starts, False).min() + free.min())
+    calls.clear()
+    _, vals = E._riemannian_descent(objective, starts, 12, mid)
+    steps = len(calls) - 1
+    assert 1 <= steps < 12 and vals.min() <= mid
+    _, same = E._riemannian_descent(objective, starts, steps)
+    assert np.array_equal(vals, same)
+    _, before = E._riemannian_descent(objective, starts, steps - 1)
+    assert before.min() > mid

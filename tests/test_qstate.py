@@ -25,7 +25,7 @@ def test_product_state_zero_marginals():
     p = product_state()
     for lab in p.labels:
         assert qr.entropy(p, {lab}) == pytest.approx(0.0, abs=1e-12)
-    assert p.provenance is not None and len(p.provenance) == 1
+    assert p.provenance is None  # only mixtures carry one
 
 
 def test_mixture_provenance_and_diagonal_op():
@@ -287,7 +287,8 @@ def test_random_pure_state_checks_the_cap_before_drawing():
 
 
 def test_provenance_is_checked_in_row_blocks_at_the_cap():
-    # twelve qubits: one dense operator is 256 MiB
+    # twelve qubits: one dense operator is 256 MiB, and a product state
+    # forms none
     labels = tuple(f"A{i}" for i in range(1, 12)) + ("R",)
     spec = StateSpec("product", labels, (2,) * 12, "R", basis=(1,) * 12)
     tracemalloc.start()
@@ -297,11 +298,14 @@ def test_provenance_is_checked_in_row_blocks_at_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20, f"peak {peak / 2 ** 20:.1f} MiB"
-    assert "op" not in vars(state)
-    # |1...10> differs from the state in the last row block alone
-    wrong = (MixtureBranch(1.0, ((0, 1),) * 11 + ((1, 0),)),)
+    assert "op" not in vars(state) and state.provenance is None
+    # nine qubits are four row blocks: |1...10> differs from the
+    # operator |1...1><1...1| in the last block alone
+    op = np.zeros((512, 512))
+    op[-1, -1] = 1.0
+    wrong = (MixtureBranch(1.0, ((0, 1),) * 8 + ((1, 0),)),)
     with pytest.raises(StateError, match="provenance does not reproduce"):
-        state_from_vector(state.psi[:, 0], labels, (2,) * 12, wrong)
+        MultipartyState(labels[:9], (2,) * 9, op, wrong)
     off = (MixtureBranch(0.4999, ((1, 0),)), MixtureBranch(0.5001, ((0, 1),)))
     with pytest.raises(StateError, match="provenance does not reproduce"):
         MultipartyState(("A",), (2,), np.eye(2) / 2, off)

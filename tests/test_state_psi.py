@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 import qregion as qr
 from qregion import qstate as Q
 
+from qregion.statespec import StateSpec
+
 from helpers import (bell_state, bell_with_spectator, entropy_reference,
                      ghz_state, ncopy_op_reference, partial_trace_op,
-                     random_mixture_state, random_sender_state)
+                     random_mixture_spec, random_mixture_state,
+                     random_sender_state)
 
 
 def _entropy_reference(state, mask):
@@ -203,3 +206,45 @@ def test_region_constants_supermodular(state):
         warnings.simplefilter("ignore")  # mixed inputs warn; SSA still holds
         rc = qr.region_constants(state, "R")
     assert qr.check_supermodular(rc) == []
+
+
+@st.composite
+def _random_specs(draw):
+    """A valid spec of any family: 1-3 senders and a reference, with
+    dimensions the family admits, its random parts drawn from a seed."""
+    family = draw(st.sampled_from(["product", "ghz", "w", "bell",
+                                   "random_pure", "mixture"]))
+    m = draw(st.integers(1, 3))
+    labels = tuple(f"A{i + 1}" for i in range(m)) + ("R",)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if family in ("ghz", "w"):
+        d = 2 if family == "w" else draw(st.sampled_from((2, 3)))
+        return StateSpec(family, labels, (d,) * (m + 1), "R")
+    dims = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=m + 1,
+                         max_size=m + 1))
+    if family == "product":
+        return StateSpec(family, labels, tuple(dims), "R",
+                         basis=tuple(int(rng.integers(d)) for d in dims))
+    if family == "bell":
+        a, b = draw(st.permutations(range(m + 1)))[:2]
+        dims[a] = dims[b] = draw(st.sampled_from((2, 3)))
+        return StateSpec(family, labels, tuple(dims), "R",
+                         pair=(labels[a], labels[b]))
+    if family == "random_pure":
+        return StateSpec(family, labels, tuple(dims), "R", seed=seed)
+    return random_mixture_spec(rng, labels, tuple(dims),
+                               draw(st.integers(1, 4)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_random_specs())
+def test_purification_round_trip(spec):
+    # purify on a new label P, then trace P out again
+    state = qr.build_state(spec)
+    psi, r = Q.purification_vector(state)
+    pure = Q.state_from_vector(psi.reshape(-1), state.labels + ("P",),
+                               state.dims + (r,))
+    assert pure.is_pure(1e-10)
+    back = qr.reduced_state(pure, state.labels)
+    assert np.abs(back.op - state.op).max() <= 1e-9
