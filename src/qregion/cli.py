@@ -116,9 +116,7 @@ def _senders(spec) -> list[str]:
 def _region_data(state, spec) -> tuple:
     rc = region.region_constants(state, spec.reference)
     vr = region.corner_set(rc)
-    # a vertex is outside when some subset sum falls below its bound
-    outside = (vr.arrays() @ rc.incidence.T
-               < rc.bounds - region.FEAS_TOL).any(axis=1)
+    outside = region.outside(rc, vr.arrays())
     if outside.any():
         bad = vr.vertices[int(np.argmax(outside))]
         raise InternalCheckError(f"vertex {bad.rates} fails membership")

@@ -215,10 +215,10 @@ def _cond_info_extended(psi: np.ndarray, x_dims: Sequence[int],
     """I(X1;...;Xm|E) of the extension (I (x) V)|psi>, tracing out G,
     for each isometry V of a (B, d_e*d_g, d_source) stack.
 
-    ``psi`` is the purification amplitude matrix (dim_X, d_source).  By
-    purity of the extended state, H(X E) = H(G), the value is the sum of
-    c H(S) over the terms (S, c) = (Xi E, 1), (G, -1), (E, 1 - m).  With
-    ``grad`` it returns (values, G), G the Euclidean gradients with
+    ``psi`` is the purification amplitude matrix (dim_X, d_source), and
+    the groups cover X: by purity, H(X E) = H(G), and the value is the
+    sum of c H(S) over the terms (S, c) = (Xi E, 1), (G, -1), (E, 1 - m).
+    With ``grad`` it returns (values, G), G the Euclidean gradients with
     df = Re Tr(G^† dV): with L_S = log2 rho_S on the support,
     H(S) = -Tr[rho_S L_S] and dH(S) = -Tr[L_S d rho_S], so each term
     adds -2 c (L_S (x) I)|ext>, mapped to V by conj(psi).  Both paths
@@ -263,12 +263,22 @@ def _cond_info_extended(psi: np.ndarray, x_dims: Sequence[int],
             @ psi.conj()) if grad else total
 
 
+def _covered(state: MultipartyState, parts: Sequence[Iterable[str]]):
+    """``state`` on the union of the checked ``parts`` (H(X E) = H(G) needs
+    every label of dimension above 1 in a part), and the parts' groups."""
+    union = [state.labels[i] for group in qstate.part_groups(state, parts)
+             for i in group]
+    if state.dim_of(union) < state.dim:
+        state = qstate.reduced_state(state, union)
+    return state, qstate.part_groups(state, parts)
+
+
 def conditional_info_with_extension(state: MultipartyState,
                                     parts: Sequence[Iterable[str]],
                                     ch: ExtensionChannel) -> float:
     """Raw (not halved) conditional multiparty information I(parts|E)
-    after applying ``ch`` to the canonical purifier of ``state``."""
-    groups = qstate.part_groups(state, parts)
+    after applying ``ch`` to the canonical purifier of ``_covered``."""
+    state, groups = _covered(state, parts)
     psi, r = qstate.purification_vector(state)
     width = ch.d_e * ch.d_g
     # no wider than the purifier (the trivial channel): no new amplitudes
@@ -348,7 +358,7 @@ def _coherent_info_floor(state: MultipartyState,
 def esq_upper_bound(state: MultipartyState,
                     parts: Sequence[Iterable[str]],
                     budget: EsqBudget = EsqBudget()) -> EsqEstimate:
-    """Upper bound on the squashed entanglement of ``parts``.
+    """Upper bound on the squashed entanglement of ``parts`` (``_covered``).
 
     Candidates: the trivial extension (baseline), the classical flag
     when the state carries mixture provenance, and random-restart
@@ -369,7 +379,7 @@ def esq_upper_bound(state: MultipartyState,
     that target, no sweep entry starts once the best value meets it,
     and a descent returns as soon as one of its restarts meets it.
     """
-    groups = qstate.part_groups(state, parts)
+    state, groups = _covered(state, parts)
     for d_e in budget.d_e_values:
         if d_e >= 1 and state.dim * d_e * d_e > ESQ_DIM_CAP:
             raise EsqError(f"d_E = {d_e} exceeds the dimension cap for a "

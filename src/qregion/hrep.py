@@ -42,16 +42,10 @@ def parse_h_representation(text: str) -> RegionConstants:
             elif body.startswith("reference:"):
                 reference = body.split(":", 1)[1].strip()
             continue
-        if line == "H-representation":
-            continue
-        if line == "begin":
-            in_block = True
-            continue
-        if line == "end":
-            in_block = False
-            continue
-        if not in_block:
-            continue
+        if line in ("begin", "end"):
+            in_block = line == "begin"
+        if not in_block or line in ("begin", "H-representation"):
+            continue  # outside the block, or a marker line
         fields = line.split()
         if expect is None:
             if len(fields) < 2:
@@ -80,5 +74,7 @@ def parse_h_representation(text: str) -> RegionConstants:
             raise RegionError(f"non-indicator row {row}")
         if not subset:
             raise RegionError("empty-subset row")
+        if subset in c:
+            raise RegionError(f"repeated row for subset {sorted(subset)}")
         c[subset] = -row[0]
     return RegionConstants(senders, reference, c)

@@ -13,7 +13,6 @@ saturated constraint systems, and optimizes linear costs greedily.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -218,19 +217,34 @@ def _first_primes(n: int) -> list[int]:
     return primes
 
 
-def corner_set(rc: RegionConstants) -> VRegion:
-    """All corner points over the m! permutations, deduplicated.
+def _first_come(x: np.ndarray) -> list[int]:
+    """The rows of ``x`` kept, in input order, when each kept row drops
+    every later row within Chebyshev distance ``DEDUP_TOL`` of it.  Only
+    rows whose key ``x @ w`` lies within ``2 DEDUP_TOL |w|_1`` of a kept
+    row's key (a ``searchsorted`` window) are compared: any other row
+    differs from it by more than ``DEDUP_TOL`` somewhere.  Corners share
+    their rate sum, so ``w`` is not uniform: the square roots of the
+    first m primes keep distinct rational vectors apart."""
+    weights = np.sqrt(_first_primes(x.shape[1]))
+    keys, reach = x @ weights, 2 * DEDUP_TOL * weights.sum()
+    order = np.argsort(keys)
+    lo = np.searchsorted(keys[order], keys - reach, "left").tolist()
+    hi = np.searchsorted(keys[order], keys + reach, "right").tolist()
+    kept, dropped = [], np.zeros(len(x), dtype=bool)
+    for k in range(len(x)):
+        if not dropped[k]:
+            kept.append(k)
+            if hi[k] - lo[k] > 1:  # more than row k itself in the window
+                near = order[lo[k]:hi[k]]  # rows before k are decided
+                dropped[near[np.abs(x[near] - x[k]).max(axis=1)
+                             <= DEDUP_TOL]] = True
+    return kept
 
-    Permutations are visited in lexicographic label order, and a point
-    within Chebyshev distance ``DEDUP_TOL`` of an earlier kept one is
-    dropped, so each retained point carries the lexicographically
-    smallest witness.  Only kept points whose key ``rates @ w`` lies
-    within ``2 DEDUP_TOL |w|_1`` of the new point's are compared (a
-    window found by bisection on the sorted keys); any point outside it
-    differs by more than ``DEDUP_TOL`` in some rate.  Every corner has
-    the same rate sum, so ``w`` is not uniform: the square roots of the
-    first m primes, which keep distinct rational rate vectors apart.
-    """
+
+def corner_set(rc: RegionConstants) -> VRegion:
+    """All corner points over the m! permutations in lexicographic label
+    order, deduplicated by ``_first_come``: each retained point carries
+    the lexicographically smallest witness."""
     if rc.m > MAX_CORNER_SENDERS:
         raise RegionError(f"corner enumeration limited to m ≤ "
                           f"{MAX_CORNER_SENDERS} senders; this region has "
@@ -238,24 +252,16 @@ def corner_set(rc: RegionConstants) -> VRegion:
     perms = np.array(list(itertools.permutations(
         sorted(range(rc.m), key=rc.senders.__getitem__))))
     rates = _corner_rates(rc, perms)
-    weights = np.sqrt(_first_primes(rc.m))
-    reach = 2 * DEDUP_TOL * weights.sum()
-    kept = []
-    keys, by_key = [], []  # kept keys, sorted, and their rows
-    for k, key in enumerate((rates @ weights).tolist()):
-        window = by_key[bisect.bisect_left(keys, key - reach):
-                        bisect.bisect_right(keys, key + reach)]
-        if (not window or np.abs(rates[window] - rates[k]).max(axis=1).min()
-                > DEDUP_TOL):
-            kept.append(k)
-            at = bisect.bisect_right(keys, key)
-            keys.insert(at, key)
-            by_key.insert(at, k)
     rows, orders = rates.tolist(), perms.tolist()
     return VRegion(rc.senders, tuple(
         RatePoint(rc.senders, tuple(rows[k]),
                   witness=tuple(rc.senders[i] for i in orders[k]))
-        for k in kept))
+        for k in _first_come(rates)))
+
+
+def outside(rc: RegionConstants, x: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` below some bound by more than ``FEAS_TOL``."""
+    return (x @ rc.incidence.T < rc.bounds - FEAS_TOL).any(axis=1)
 
 
 def membership(rc: RegionConstants, q: RatePoint) -> Membership:
@@ -312,46 +318,35 @@ def enumerate_vertices(rc: RegionConstants) -> VRegion:
 
     Every m-subset of canonical rows, in ``itertools.combinations``
     order, is a candidate system.  Those with independent indicator rows
-    are solved in one stacked ``solve``, and a solution is feasible when
-    one product ``x @ rc.incidence.T`` meets every bound within
-    ``FEAS_TOL``.  A feasible solution within Chebyshev distance
-    ``DEDUP_TOL`` of an earlier kept vertex is dropped, so each vertex
-    keeps its first system, whose maximal chain (``reconstruct_chain``)
-    gives the witness.  The combinations run in blocks of at most
-    ``ENUM_BLOCK_BYTES`` per stacked array; the output does not depend
-    on the block size.
+    are solved in one stacked ``solve``; a solution not ``outside`` is
+    feasible.  ``_first_come`` runs over the vertices kept so far and a
+    block's feasible solutions, so each vertex keeps its first system,
+    whose maximal chain (``reconstruct_chain``) gives the witness.  The
+    combinations run in blocks of at most ``ENUM_BLOCK_BYTES`` per
+    stacked array; the output does not depend on the block size.
     """
     m = rc.m
     if m > MAX_ENUM_SENDERS:
         raise RegionError(f"vertex enumeration limited to m ≤ "
                           f"{MAX_ENUM_SENDERS} senders")
     incidence, bounds = rc.incidence, rc.bounds
-    floor = bounds - FEAS_TOL
     block = max(1, ENUM_BLOCK_BYTES // (8 * max(m * m, len(bounds))))
     combos = itertools.combinations(range(len(bounds)), m)
-    kept: list[np.ndarray] = []
-    kept_combos: list[np.ndarray] = []
+    kept, systems = np.empty((0, m)), np.empty((0, m), dtype=np.intp)
     while len(idx := np.fromiter(
             itertools.chain.from_iterable(itertools.islice(combos, block)),
             dtype=np.intp).reshape(-1, m)):
         idx = idx[_independent(incidence[idx])]
         x = np.linalg.solve(incidence[idx], bounds[idx][..., None])[..., 0]
-        feasible = (x @ incidence.T >= floor).all(axis=1)
-        idx, x = idx[feasible], x[feasible]
-        # first-come dedup: drop what lies near a kept vertex, then keep
-        # the first survivor and drop what lies near it, and so on
-        for vertex in kept:
-            near = np.abs(x - vertex).max(axis=1) <= DEDUP_TOL
-            idx, x = idx[~near], x[~near]
-        while len(x):
-            kept.append(x[0])
-            kept_combos.append(idx[0])
-            near = np.abs(x - x[0]).max(axis=1) <= DEDUP_TOL
-            idx, x = idx[~near], x[~near]
+        inside = ~outside(rc, x)
+        x = np.concatenate([kept, x[inside]])  # kept first: they stay kept
+        idx = np.concatenate([systems, idx[inside]])
+        first = _first_come(x)
+        kept, systems = x[first], idx[first]
     return VRegion(rc.senders, tuple(
-        RatePoint(rc.senders, tuple(vertex.tolist()),
+        RatePoint(rc.senders, tuple(vertex),
                   witness=reconstruct_chain(rc.senders, rc.masks[combo]))
-        for vertex, combo in zip(kept, kept_combos)))
+        for vertex, combo in zip(kept.tolist(), systems)))
 
 
 def reconstruct_chain(senders: Sequence[str],

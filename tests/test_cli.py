@@ -91,6 +91,14 @@ def test_hrep_parse_rejects_non_finite_constant():
         parse_h_representation("\n".join(lines))
 
 
+def test_hrep_parse_rejects_repeated_subset():
+    text = "\n".join(["* senders: A1 A2", "H-representation", "begin",
+                      " 4 3 real", " -1 1 0", " -1 0 1", " -1.5 1 1",
+                      " -9 1 1", "end"])
+    with pytest.raises(qr.RegionError, match=r"repeated row .*'A1', 'A2'"):
+        parse_h_representation(text)
+
+
 def test_region_command_report(tmp_path, ghz_spec_file):
     out = tmp_path / "report.json"
     code = run_command(["region", "--state", str(ghz_spec_file),

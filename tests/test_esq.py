@@ -95,6 +95,21 @@ def test_esq_upper_bound_separable_and_product():
     assert est.value == 0.0 and est.baseline <= 1e-9
 
 
+def test_parts_leaving_out_labels_use_their_marginal():
+    # I(X E) = H(G) holds only when the parts cover the state: parts that
+    # leave out A3 and R are scored on their marginal, bit for bit
+    st = qr.random_pure_state(("A1", "A2", "A3", "R"), (2,) * 4, 3)
+    parts = [{"A1"}, {"A2"}]
+    marg = qr.reduced_state(st, {"A1", "A2"})
+    got, want = (qr.esq_upper_bound(s, parts, SMALL) for s in (st, marg))
+    assert abs(got.baseline - 0.5 * qr.multiparty_info(st, parts)) <= 1e-12
+    assert (got.value, got.lower, got.baseline, got.best_channel.kind) \
+        == (want.value, want.lower, want.baseline, want.best_channel.kind)
+    ch = E.trivial_channel(Q.purification_vector(marg)[1])
+    assert qr.conditional_info_with_extension(st, parts, ch) \
+        == qr.conditional_info_with_extension(marg, parts, ch)
+
+
 def test_estimate_between_zero_and_baseline():
     for seed in range(4):
         st = qr.random_pure_state(("A", "B", "C"), (2, 2, 4), seed)

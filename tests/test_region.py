@@ -492,6 +492,21 @@ def test_enumerate_vertices_block_size_does_not_change_output(monkeypatch):
             assert _same_vregion(qr.enumerate_vertices(rc), ref), (cap, name)
 
 
+@pytest.mark.filterwarnings("ignore:input state is not pure")
+@pytest.mark.parametrize("cap", [region.ENUM_BLOCK_BYTES, 1],
+                         ids=["default", "one-system"])
+def test_enumerate_vertices_carries_kept_vertices_across_blocks(monkeypatch,
+                                                                cap):
+    # at a coarse tolerance a block's solutions fall near vertices kept
+    # in earlier blocks, so the dedup must see those across the boundary
+    monkeypatch.setattr(region, "DEDUP_TOL", 1e-2)
+    monkeypatch.setattr(region, "ENUM_BLOCK_BYTES", cap)
+    for name, rc in _equivalence_cases():
+        if rc.m <= 4:
+            want = enumerate_vertices_reference(rc, dedup_tol=1e-2)
+            assert _same_vregion(qr.enumerate_vertices(rc), want), name
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                  np.float64("nan"), np.float64("-inf")],
                          ids=["nan", "inf", "-inf", "np-nan", "np--inf"])
