@@ -26,6 +26,7 @@ import numpy as np
 from . import qstate, region
 from .qstate import MultipartyState
 from .region import RatePoint, RegionConstants
+from .statespec import INPUT_TOL, _is_int
 
 #: (state dim) * d_E * d_G must not exceed this for extension searches
 ESQ_DIM_CAP = 1024
@@ -43,8 +44,6 @@ MAX_SEARCH_PASSES = 16384
 
 #: gradient steps per descent pass
 STEPS_PER_PASS = 8
-
-_ISOMETRY_TOL = 1e-9
 
 
 class EsqError(ValueError):
@@ -71,7 +70,7 @@ class ExtensionChannel:
             raise EsqError(f"isometry has {iso.shape[0]} rows, expected "
                            f"d_e*d_g = {self.d_e * self.d_g}")
         gram = iso.conj().T @ iso
-        if np.abs(gram - np.eye(iso.shape[1])).max() > _ISOMETRY_TOL:
+        if np.abs(gram - np.eye(iso.shape[1])).max() > INPUT_TOL:
             raise EsqError("isometry columns are not orthonormal")
         iso = iso.copy()
         iso.flags.writeable = False
@@ -94,10 +93,21 @@ class EsqBudget:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy integers are stored as int, whose products cannot wrap
         for name in ("restarts", "iterations", "seed"):
-            if getattr(self, name) < 0:
-                raise EsqError(f"budget {name} must be >= 0, "
-                               f"got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise EsqError(f"budget {name} must be an integer, "
+                               f"got {value!r}")
+            if value < 0:
+                raise EsqError(f"budget {name} must be >= 0, got {value}")
+            object.__setattr__(self, name, int(value))
+        for d_e in self.d_e_values:
+            if not _is_int(d_e) or d_e < 1:
+                raise EsqError(f"budget d_e_values entries must be integers "
+                               f">= 1, got {d_e!r}")
+        object.__setattr__(self, "d_e_values",
+                           tuple(int(d_e) for d_e in self.d_e_values))
         if self.restarts > MAX_RESTARTS:
             raise EsqError(f"budget restarts {self.restarts} exceeds the "
                            f"cap {MAX_RESTARTS}")
@@ -223,14 +233,14 @@ def _cond_info_extended(psi: np.ndarray, x_dims: Sequence[int],
     H(S) = -Tr[rho_S L_S] and dH(S) = -Tr[L_S d rho_S], so each term
     adds -2 c (L_S (x) I)|ext>, mapped to V by conj(psi).  Both paths
     walk the runs of the cached ``_term_plan`` in order, gather at most
-    ``qstate.ENTROPY_BLOCK_BYTES`` of a run's factors (one term's at
+    ``qstate.BLOCK_BYTES`` of a run's factors (one term's at
     least) by its index, solve them as one stack, and add each term as
     soon as its solve returns; every number is the one a term-by-term
     evaluation gives.
     """
     ext = psi @ isos.swapaxes(-1, -2)  # (B, dim_X, d_e*d_g)
     vecs = ext.reshape(len(isos), -1)
-    step = max(1, qstate.ENTROPY_BLOCK_BYTES // vecs.nbytes)  # terms per solve
+    step = max(1, qstate.BLOCK_BYTES // vecs.nbytes)  # terms per solve
     total, gamma = np.zeros(len(isos)), np.zeros_like(vecs) if grad else None
     for coefs, row_major, index in _term_plan(
             tuple(x_dims), tuple(map(tuple, groups)), d_e, d_g):
@@ -381,11 +391,9 @@ def esq_upper_bound(state: MultipartyState,
     """
     state, groups = _covered(state, parts)
     for d_e in budget.d_e_values:
-        if d_e >= 1 and state.dim * d_e * d_e > ESQ_DIM_CAP:
+        if state.dim * d_e * d_e > ESQ_DIM_CAP:
             raise EsqError(f"d_E = {d_e} exceeds the dimension cap for a "
                            f"state of dimension {state.dim}")
-        if d_e < 1:
-            raise EsqError("d_E values must be >= 1")
     passes = len(budget.d_e_values) * budget.restarts * budget.iterations
     if passes > MAX_SEARCH_PASSES:
         raise EsqError(f"search work of {passes} descent passes exceeds the "

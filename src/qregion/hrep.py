@@ -9,6 +9,7 @@ in a leading comment so the file round-trips losslessly.
 from __future__ import annotations
 
 from .region import RegionConstants, RegionError
+from .statespec import INPUT_TOL
 
 
 def export_h_representation(rc: RegionConstants) -> str:
@@ -68,8 +69,8 @@ def parse_h_representation(text: str) -> RegionConstants:
     c = {}
     for row in rows:
         subset = frozenset(lab for lab, a in zip(senders, row[1:])
-                           if abs(a - 1.0) < 1e-9)
-        live = sum(1 for a in row[1:] if abs(a) > 1e-9)
+                           if abs(a - 1.0) < INPUT_TOL)
+        live = sum(1 for a in row[1:] if abs(a) > INPUT_TOL)
         if len(subset) != live:
             raise RegionError(f"non-indicator row {row}")
         if not subset:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statespec import MixtureBranch, SpecError, StateSpec
+from .statespec import INPUT_TOL, MixtureBranch, SpecError, StateSpec
 
 #: largest total Hilbert-space dimension accepted by constructors
 MAX_TOTAL_DIM = 4096
@@ -25,10 +25,10 @@ MAX_TOTAL_DIM = 4096
 #: eigenvalues at or below this cutoff contribute nothing to entropies
 EIG_CUTOFF = 1e-12
 
-#: bytes of stacked marginal factors in one eigensolve of ``entropies``
-ENTROPY_BLOCK_BYTES = 1 << 20
+#: bytes of one block of every stacked loop: entropies, provenance rows,
+#: the E_sq objective, vertex enumeration and decoupling trials
+BLOCK_BYTES = 512 * 1024
 
-_STATE_TOL = 1e-9
 _PSD_TOL = 1e-8
 
 
@@ -177,12 +177,12 @@ class MultipartyState:
             if not np.isfinite(op).all():
                 raise StateError("operator has non-finite entries")
             tr = complex(np.trace(op))
-            if abs(tr - 1.0) > _STATE_TOL:
+            if abs(tr - 1.0) > INPUT_TOL:
                 raise StateError(f"trace {tr:.12g} ≠ 1")
-            if np.abs(op - op.conj().T).max() > _STATE_TOL:
+            if np.abs(op - op.conj().T).max() > INPUT_TOL:
                 raise StateError("operator not Hermitian")
             ev, vecs = np.linalg.eigh(hermitian_part(op))
-            if ev.min() < -_STATE_TOL:
+            if ev.min() < -INPUT_TOL:
                 raise StateError(f"min eigenvalue {ev.min():.3g} < -1e-9")
             order = np.argsort(ev)[::-1]
             keep = order[ev[order] > EIG_CUTOFF]
@@ -197,13 +197,13 @@ class MultipartyState:
                     for br in self.provenance]
             # compared a row block at a time: at the dimension cap one
             # dense operator is 256 MiB
-            rows = max(1, ENTROPY_BLOCK_BYTES // (16 * d))
+            rows = max(1, BLOCK_BYTES // (16 * d))
             for lo in range(0, d, rows):
                 rebuilt = np.zeros_like(op[lo:lo + rows])
                 for br, ket in zip(self.provenance, kets):
                     rebuilt = rebuilt + br.weight * np.outer(
                         ket[lo:lo + rows], ket.conj())
-                if np.abs(rebuilt - op[lo:lo + rows]).max() > _STATE_TOL:
+                if np.abs(rebuilt - op[lo:lo + rows]).max() > INPUT_TOL:
                     raise StateError(
                         "provenance does not reproduce the operator")
 
@@ -371,7 +371,7 @@ def entropies(state: MultipartyState,
     the complement plus the purifier (the two share their nonzero
     spectrum), as the factor M with marginal M M^†.  Masks whose factors
     have one shape share one stacked eigensolve, in blocks of at most
-    ``ENTROPY_BLOCK_BYTES`` of factors; each entropy is the same number
+    ``BLOCK_BYTES`` of factors; each entropy is the same number
     as a solve of its factor alone.
     """
     dims = list(state.dims) + [state.psi.shape[1]]
@@ -388,7 +388,7 @@ def entropies(state: MultipartyState,
             d_keep = total // d_keep
         by_shape.setdefault(d_keep, []).append((pos, side))
     out = np.empty(len(masks))
-    block = max(1, ENTROPY_BLOCK_BYTES // (16 * total))
+    block = max(1, BLOCK_BYTES // (16 * total))
     for items in by_shape.values():
         for start in range(0, len(items), block):
             chunk = items[start:start + block]

@@ -32,12 +32,20 @@ DEDUP_TOL = 1e-6
 
 MAX_ENUM_SENDERS = 5
 MAX_CORNER_SENDERS = 7
-#: bytes per stacked array in one block of ``enumerate_vertices``
-ENUM_BLOCK_BYTES = 4 << 20
 
 
 class RegionError(ValueError):
     """Invalid region arguments (bad permutation, costs, subsets, ...)."""
+
+
+def _check_sender_count(m: int) -> None:
+    """Refuse more senders than a state under ``qstate.MAX_TOTAL_DIM`` holds
+    when each has dimension 2 or more, before any of the 2^m subsets."""
+    limit = int(math.log2(qstate.MAX_TOTAL_DIM))
+    if m > limit:
+        raise RegionError(f"region limited to m ≤ {limit} senders (log2 of "
+                          f"the dimension cap {qstate.MAX_TOTAL_DIM}); got "
+                          f"{m}")
 
 
 def nonempty_subsets(senders: Sequence[str]) -> list[frozenset[str]]:
@@ -74,6 +82,7 @@ class RegionConstants:
             raise RegionError("at least one sender required")
         if len(set(senders)) != len(senders):
             raise RegionError("sender labels must be distinct")
+        _check_sender_count(len(senders))
         subsets = tuple(nonempty_subsets(senders))
         c = {frozenset(k): float(v) for k, v in dict(self.c).items()}
         if set(c) != set(subsets):
@@ -161,6 +170,7 @@ def region_constants(state: MultipartyState,
                     if i != ref_idx)
     if not senders:
         raise RegionError("need at least one sender besides the reference")
+    _check_sender_count(len(senders))
     if not state.is_pure(1e-7):
         warnings.warn("input state is not pure (purity "
                       f"{state.purity():.6f}); the inner bound assumes a "
@@ -322,7 +332,7 @@ def enumerate_vertices(rc: RegionConstants) -> VRegion:
     feasible.  ``_first_come`` runs over the vertices kept so far and a
     block's feasible solutions, so each vertex keeps its first system,
     whose maximal chain (``reconstruct_chain``) gives the witness.  The
-    combinations run in blocks of at most ``ENUM_BLOCK_BYTES`` per
+    combinations run in blocks of at most ``qstate.BLOCK_BYTES`` per
     stacked array; the output does not depend on the block size.
     """
     m = rc.m
@@ -330,7 +340,7 @@ def enumerate_vertices(rc: RegionConstants) -> VRegion:
         raise RegionError(f"vertex enumeration limited to m ≤ "
                           f"{MAX_ENUM_SENDERS} senders")
     incidence, bounds = rc.incidence, rc.bounds
-    block = max(1, ENUM_BLOCK_BYTES // (8 * max(m * m, len(bounds))))
+    block = max(1, qstate.BLOCK_BYTES // (8 * max(m * m, len(bounds))))
     combos = itertools.combinations(range(len(bounds)), m)
     kept, systems = np.empty((0, m)), np.empty((0, m), dtype=np.intp)
     while len(idx := np.fromiter(

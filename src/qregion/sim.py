@@ -18,6 +18,7 @@ import numpy as np
 
 from . import qstate
 from .qstate import MultipartyState
+from .statespec import INPUT_TOL
 
 MAX_HAAR_DIM = 256
 
@@ -26,9 +27,6 @@ MAX_JOINT_DIM = 512
 
 #: most Haar trials one decoupling curve runs; the work is linear in it
 MAX_TRIALS = 10_000
-
-#: bytes of one trial's largest array times the trials stacked per chunk
-TRIAL_CHUNK_BYTES = 512 * 1024
 
 
 class SimError(ValueError):
@@ -262,8 +260,8 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
         if not -1e-12 <= q <= q_max + 1e-12:  # also rejects NaN
             raise SimError(f"grid value {q} outside [0, {q_max:g}]")
         exact = n * q
-        nq = int(math.floor(exact + 1e-9))
-        if abs(exact - nq) > 1e-9:
+        nq = int(math.floor(exact + INPUT_TOL))
+        if abs(exact - nq) > INPUT_TOL:
             notes.append(f"Q={q:g}: fractional split n*Q={exact:g} "
                          f"floored to {nq} qubits")
         splits.append((float(q), nq))
@@ -316,7 +314,7 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
         # joint
         d_drawn = block // 2 ** min(splits[gi][1] for gi in drawn) * d_ref
         per_trial = 16 * max(block * block, vec.size, d_drawn * d_drawn)
-        chunk = max(1, TRIAL_CHUNK_BYTES // per_trial)
+        chunk = max(1, qstate.BLOCK_BYTES // per_trial)
         dists = np.zeros((len(drawn), trials))
         fids = np.zeros((len(drawn), trials))
         for t0 in range(0, trials, chunk):

@@ -10,14 +10,18 @@ mappings, e.g.::
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
 import yaml
 
-FAMILIES = ("product", "ghz", "w", "bell", "random_pure", "mixture")
+#: each family and the one optional field it reads (ghz and w read none)
+FAMILIES = {"product": "basis", "ghz": None, "w": None, "bell": "pair",
+            "random_pure": "seed", "mixture": "branches"}
 
-WEIGHT_TOL = 1e-9
+#: input entries within this of an exact value are taken as exact
+INPUT_TOL = 1e-9
 
 
 class SpecError(ValueError):
@@ -73,6 +77,10 @@ class StateSpec:
                                 f"≥ 1, got {d!r}")
         if self.reference not in self.labels:
             raise SpecError("reference", f"{self.reference!r} is not a label")
+        for name in ("basis", "pair", "seed", "branches"):
+            if getattr(self, name) is not None \
+                    and name != FAMILIES[self.family]:
+                raise SpecError(name, f"not read by the {self.family} family")
         getattr(self, f"_check_{self.family}")()
 
     def dim(self, label: str) -> int:
@@ -117,7 +125,7 @@ class StateSpec:
         if not self.branches:
             raise SpecError("branches", "mixture requires branches")
         total = sum(b.weight for b in self.branches)
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if abs(total - 1.0) > INPUT_TOL:
             raise SpecError("weights", f"weights sum {total:g} ≠ 1")
         for i, br in enumerate(self.branches):
             if br.weight < 0:
@@ -129,13 +137,14 @@ class StateSpec:
                     raise SpecError("branches", f"branch {i}: ket length "
                                     f"{len(ket)} ≠ dim {d} of {lab}")
                 norm = sum(abs(a) ** 2 for a in ket)
-                if abs(norm - 1.0) > 1e-9:
+                if abs(norm - 1.0) > INPUT_TOL:
                     raise SpecError("branches", f"branch {i}: ket for {lab} "
                                     f"not normalized (|ket|² = {norm:g})")
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """An int or numpy integer, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _is_real(x) -> bool:

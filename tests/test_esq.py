@@ -552,6 +552,26 @@ def test_budget_rejects_negative_counts(field, value):
         EsqBudget(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("d_e_values", (2.5,)),
+                                          ("d_e_values", (True,)),
+                                          ("d_e_values", (0,)),
+                                          ("restarts", 2.5),
+                                          ("iterations", 1.5),
+                                          ("seed", True)])
+def test_budget_refuses_what_is_not_a_count(field, value):
+    with pytest.raises(EsqError, match=f"budget {field} (must be an integer"
+                                       f"|entries must be integers >= 1)"):
+        EsqBudget(**{field: value})
+
+
+def test_budget_stores_numpy_integers_as_int():
+    budget = EsqBudget((np.int64(1), np.int32(2)), np.int64(2), np.uint8(1),
+                       np.int64(3))
+    assert budget == EsqBudget((1, 2), 2, 1, 3)
+    assert all(type(v) is int for v in (*budget.d_e_values, budget.restarts,
+                                        budget.iterations, budget.seed))
+
+
 # ---------------------------------------------------------------------------
 # the term plan
 
@@ -621,14 +641,14 @@ def _term_by_term_cases():
 
 
 #: the default block budget, and one that puts every term in its own solve
-BLOCK_BYTES = (Q.ENTROPY_BLOCK_BYTES, 1)
+BLOCK_BYTES = (Q.BLOCK_BYTES, 1)
 
 
 def test_cond_info_gradient_path_matches_term_by_term_bits(monkeypatch):
     for case in _term_by_term_cases():
         want = cond_info_grad_reference(*case)
         for block_bytes in BLOCK_BYTES:
-            monkeypatch.setattr(Q, "ENTROPY_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(Q, "BLOCK_BYTES", block_bytes)
             got = E._cond_info_extended(*case, grad=True)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes(), (case[1], block_bytes)
@@ -638,7 +658,7 @@ def test_cond_info_value_path_matches_term_by_term_bits(monkeypatch):
     for case in _term_by_term_cases():
         want = cond_info_value_reference(*case)
         for block_bytes in BLOCK_BYTES:
-            monkeypatch.setattr(Q, "ENTROPY_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(Q, "BLOCK_BYTES", block_bytes)
             got = E._cond_info_extended(*case)
             assert got.tobytes() == want.tobytes(), (case[1], block_bytes)
 

@@ -10,7 +10,8 @@ from qregion.statespec import MixtureBranch, SpecError, StateSpec
 
 from helpers import (bell_state, bell_with_spectator,
                      conditional_info_forms, ghz_state,
-                     multiparty_info_reference, product_state, random_ket)
+                     multiparty_info_reference, product_state, random_ket,
+                     random_mixture_spec)
 
 
 def test_ghz_rank_one_and_marginal_spectrum():
@@ -299,7 +300,7 @@ def test_provenance_is_checked_in_row_blocks_at_the_cap():
         tracemalloc.stop()
     assert peak < 16 << 20, f"peak {peak / 2 ** 20:.1f} MiB"
     assert "op" not in vars(state) and state.provenance is None
-    # nine qubits are four row blocks: |1...10> differs from the
+    # nine qubits are eight row blocks: |1...10> differs from the
     # operator |1...1><1...1| in the last block alone
     op = np.zeros((512, 512))
     op[-1, -1] = 1.0
@@ -309,6 +310,20 @@ def test_provenance_is_checked_in_row_blocks_at_the_cap():
     off = (MixtureBranch(0.4999, ((1, 0),)), MixtureBranch(0.5001, ((0, 1),)))
     with pytest.raises(StateError, match="provenance does not reproduce"):
         MultipartyState(("A",), (2,), np.eye(2) / 2, off)
+
+
+def test_provenance_is_checked_one_row_per_block(monkeypatch):
+    spec = random_mixture_spec(np.random.default_rng(3), ("A1", "A2", "R"),
+                               (2, 3, 2), 3)
+    op = qr.build_state(spec).op
+    monkeypatch.setattr(Q, "BLOCK_BYTES", 1)  # one row per block
+    state = MultipartyState(spec.labels, spec.dims, op, spec.branches)
+    assert state.provenance == spec.branches
+    # a fourth branch on the last basis state adds to the last diagonal
+    # entry alone
+    last = MixtureBranch(1e-6, ((0, 1), (0, 0, 1), (0, 1)))
+    with pytest.raises(StateError, match="provenance does not reproduce"):
+        MultipartyState(spec.labels, spec.dims, op, spec.branches + (last,))
 
 
 def test_dimension_cap_survives_int64_overflow():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qregion as qr
 from qregion import qstate, region
+from qregion.hrep import parse_h_representation
 from qregion.region import (DEDUP_TOL, FEAS_TOL, RatePoint,
                             RegionConstants, RegionError, nonempty_subsets)
 from qregion.statespec import StateSpec
@@ -487,20 +488,20 @@ def test_enumerate_vertices_block_size_does_not_change_output(monkeypatch):
     want = [qr.enumerate_vertices(rc) for _, rc in cases]
     # one system per block, then a few blocks per call
     for cap in (1, 8 * 16 * 100):
-        monkeypatch.setattr(region, "ENUM_BLOCK_BYTES", cap)
+        monkeypatch.setattr(qstate, "BLOCK_BYTES", cap)
         for (name, rc), ref in zip(cases, want):
             assert _same_vregion(qr.enumerate_vertices(rc), ref), (cap, name)
 
 
 @pytest.mark.filterwarnings("ignore:input state is not pure")
-@pytest.mark.parametrize("cap", [region.ENUM_BLOCK_BYTES, 1],
+@pytest.mark.parametrize("cap", [qstate.BLOCK_BYTES, 1],
                          ids=["default", "one-system"])
 def test_enumerate_vertices_carries_kept_vertices_across_blocks(monkeypatch,
                                                                 cap):
     # at a coarse tolerance a block's solutions fall near vertices kept
     # in earlier blocks, so the dedup must see those across the boundary
     monkeypatch.setattr(region, "DEDUP_TOL", 1e-2)
-    monkeypatch.setattr(region, "ENUM_BLOCK_BYTES", cap)
+    monkeypatch.setattr(qstate, "BLOCK_BYTES", cap)
     for name, rc in _equivalence_cases():
         if rc.m <= 4:
             want = enumerate_vertices_reference(rc, dedup_tol=1e-2)
@@ -554,6 +555,32 @@ def test_region_constants_match_per_mask_reference():
 def test_region_constants_block_size_does_not_change_output(monkeypatch):
     cases = list(_region_constants_cases())
     want = [qr.region_constants(state, "R").table for _, state in cases]
-    monkeypatch.setattr(qstate, "ENTROPY_BLOCK_BYTES", 1)  # one per block
+    monkeypatch.setattr(qstate, "BLOCK_BYTES", 1)  # one per block
     for (name, state), table in zip(cases, want):
         assert _same_bits(qr.region_constants(state, "R").table, table), name
+
+
+# The sender count is bounded before any of the 2^m subsets is built.
+
+def _dimension_one_senders(m):
+    labels = tuple(f"A{i + 1}" for i in range(m)) + ("R",)
+    return qr.build_state(StateSpec("product", labels, (1,) * m + (2,), "R",
+                                    basis=(0,) * (m + 1)))
+
+
+def test_twelve_senders_of_dimension_one_still_run():
+    assert qr.region_constants(_dimension_one_senders(12), "R").m == 12
+
+
+@pytest.mark.parametrize("m", [13, 30])
+def test_more_senders_than_the_dimension_cap_holds_are_refused(m):
+    refusal = f"limited to m ≤ 12 senders .*; got {m}$"
+    with pytest.raises(RegionError, match=refusal):
+        qr.region_constants(_dimension_one_senders(m), "R")
+    senders = tuple(f"A{i + 1}" for i in range(m))
+    with pytest.raises(RegionError, match=refusal):
+        RegionConstants(senders, "R", {})
+    text = "\n".join([f"* senders: {' '.join(senders)}", "H-representation",
+                      "begin", f" 1 {m + 1} real", " -1" + " 1" * m, "end"])
+    with pytest.raises(RegionError, match=refusal):
+        parse_h_representation(text)

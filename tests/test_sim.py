@@ -316,7 +316,7 @@ def test_decoupling_curve_is_independent_of_the_chunk_size(monkeypatch,
         kw = dict(trials=40, seed=9)
     default = qr.decoupling_curve(*args, **kw).to_csv()
     for cap in (0, 1 << 40):  # one trial per chunk, then a single chunk
-        monkeypatch.setattr(sim, "TRIAL_CHUNK_BYTES", cap)
+        monkeypatch.setattr(qstate, "BLOCK_BYTES", cap)
         assert qr.decoupling_curve(*args, **kw).to_csv() == default
 
 

@@ -188,6 +188,49 @@ def test_parse_rejects_negative_seed(tmp_path, capsys, family):
         in capsys.readouterr().err
 
 
+_FAMILY_TEXTS = {
+    "ghz": "family: ghz, labels: [A1, A2, R], dims: [2, 2, 2]",
+    "w": "family: w, labels: [A1, A2, R], dims: [2, 2, 2]",
+    "product": "family: product, labels: [A1, A2, R], dims: [2, 2, 2], "
+               "basis: '010'",
+    "bell": "family: bell, labels: [A1, A2, R], dims: [2, 2, 2], "
+            "pair: [A1, A2]",
+    "random_pure": "family: random_pure, labels: [A1, A2, R], "
+                   "dims: [2, 2, 2], seed: 1",
+    "mixture": "family: mixture, labels: [A1, A2, R], dims: [2, 2, 2], "
+               "branches: [{weight: 1, kets: [[1, 0], [1, 0], [0, 1]]}]",
+}
+_FIELD_TEXTS = {
+    "basis": "basis: '000'",
+    "pair": "pair: [A1, A2]",
+    "seed": "seed: 5",
+    "branches": "branches: [{weight: 1, kets: [[0, 1], [0, 1], [0, 1]]}]",
+}
+
+
+@pytest.mark.parametrize("family, field", [
+    (family, field) for family in _FAMILY_TEXTS for field in _FIELD_TEXTS
+    if field not in _FAMILY_TEXTS[family]])
+def test_parse_refuses_a_field_the_family_does_not_read(family, field):
+    text = f"{{{_FAMILY_TEXTS[family]}, reference: R}}"
+    qr.build_state(parse_state_spec(text))
+    with pytest.raises(SpecError, match=f"not read by the {family} family") \
+            as err:
+        parse_state_spec(f"{text[:-1]}, {_FIELD_TEXTS[field]}}}")
+    assert err.value.field == field
+
+
+def test_region_refuses_a_ghz_spec_with_a_seed(tmp_path, capsys):
+    path = tmp_path / "ghz.spec"
+    path.write_text("{family: ghz, labels: [A1, A2, R], dims: [2, 2, 2], "
+                    "reference: R, seed: 5}\n")
+    assert run_command(["region", "--state", str(path),
+                        "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err \
+        == "error: seed: not read by the ghz family\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_parse_rejects_unnormalized_ket():
     text = ("{family: mixture, labels: [X1, X2], dims: [2, 2], "
             "reference: X2, branches: [{weight: 1.0, "
