@@ -113,11 +113,16 @@ class EsqBudget:
                            f"cap {MAX_RESTARTS}")
 
 
+def _has_room(dim: int, d: int) -> bool:
+    """Whether dim * d_E * d_G with d_E = d_G = d is within ESQ_DIM_CAP."""
+    return dim * d * d <= ESQ_DIM_CAP
+
+
 def d_e_sweep(dim: int, d_e_max: int) -> tuple[int, ...]:
     """The d_E sweep 1..d_e_max for a marginal of dimension ``dim``, cut
-    at the largest d with dim * d**2 <= ESQ_DIM_CAP."""
-    values = tuple(range(1, min(d_e_max,
-                                math.isqrt(ESQ_DIM_CAP // dim)) + 1))
+    at the largest d that ``_has_room``."""
+    values = tuple(itertools.takewhile(lambda d: _has_room(dim, d),
+                                       range(1, d_e_max + 1)))
     if not values:
         raise EsqError(f"marginal dimension {dim} leaves no room for any "
                        f"extension within the cap {ESQ_DIM_CAP}")
@@ -377,10 +382,10 @@ def esq_upper_bound(state: MultipartyState,
     of each sweep entry descend as one stack (``_riemannian_descent``);
     the first smallest wins, and only it becomes an
     orthonormality-checked ``ExtensionChannel``.  The baseline, the
-    flag and that channel are scored by ``conditional_info_with_extension``,
-    which supplies the reported value: half the smallest conditional
-    information found, clamped to [0, baseline]; deterministic given the
-    budget seed.
+    flag and that channel are scored on the covered state, bit for bit as
+    ``conditional_info_with_extension`` does, for the reported value:
+    half the smallest conditional information found, clamped to
+    [0, baseline]; deterministic given the budget seed.
 
     The search stops once the best conditional information is at most
     twice ``lower + FEAS_TOL``, ``lower`` the ``_coherent_info_floor``
@@ -391,7 +396,7 @@ def esq_upper_bound(state: MultipartyState,
     """
     state, groups = _covered(state, parts)
     for d_e in budget.d_e_values:
-        if state.dim * d_e * d_e > ESQ_DIM_CAP:
+        if not _has_room(state.dim, d_e):
             raise EsqError(f"d_E = {d_e} exceeds the dimension cap for a "
                            f"state of dimension {state.dim}")
     passes = len(budget.d_e_values) * budget.restarts * budget.iterations
@@ -402,15 +407,15 @@ def esq_upper_bound(state: MultipartyState,
     lower = _coherent_info_floor(state, groups)
     target = 2.0 * (lower + region.FEAS_TOL)  # on the raw, unhalved value
 
+    def score(ch: ExtensionChannel) -> float:
+        return float(_cond_info_extended(psi, state.dims, groups,
+                                         ch.isometry[None], ch.d_e, ch.d_g)[0])
     best_ch = trivial_channel(r)
-    baseline_raw = best_raw = conditional_info_with_extension(state, parts,
-                                                              best_ch)
+    baseline_raw = best_raw = score(best_ch)
     if state.provenance is not None and best_raw > target:
-        nb = len(state.provenance)
-        if state.dim * nb * nb <= ESQ_DIM_CAP:
+        if _has_room(state.dim, len(state.provenance)):
             flag = classical_flag_channel(state)
-            raw = conditional_info_with_extension(state, parts, flag)
-            if raw < best_raw:
+            if (raw := score(flag)) < best_raw:
                 best_ch, best_raw = flag, raw
 
     winner = None  # (d_e, d_g, isometry) of the best descent, if any leads
@@ -435,7 +440,7 @@ def esq_upper_bound(state: MultipartyState,
     if winner is not None:
         best_ch = ExtensionChannel(*winner, "parameterized")
         # the reported value comes from the checked channel's own copy
-        best_raw = conditional_info_with_extension(state, parts, best_ch)
+        best_raw = score(best_ch)
     baseline = max(0.0, 0.5 * baseline_raw)
     value = min(baseline, max(0.0, 0.5 * best_raw))
     return EsqEstimate(value, lower, baseline, best_ch, budget)

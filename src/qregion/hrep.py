@@ -48,12 +48,14 @@ def parse_h_representation(text: str) -> RegionConstants:
         if not in_block or line in ("begin", "H-representation"):
             continue  # outside the block, or a marker line
         fields = line.split()
-        if expect is None:
-            if len(fields) < 2:
-                raise RegionError(f"malformed size line: {line!r}")
-            expect = (int(fields[0]), int(fields[1]))
-            continue
-        rows.append([float(f) for f in fields])
+        try:
+            if expect is None:
+                expect = (int(fields[0]), int(fields[1]))
+            else:
+                rows.append([float(f) for f in fields])
+        except (IndexError, ValueError):
+            what = "size line" if expect is None else "row"
+            raise RegionError(f"malformed {what}: {line!r}") from None
 
     if expect is None:
         raise RegionError("no begin/size line found")

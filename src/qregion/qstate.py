@@ -1,16 +1,15 @@
 """Dense multipartite quantum-state algebra.
 
 States are labeled density operators on a tensor product of small
-Hilbert spaces, each stored with its canonical minimal purification.
-The module provides construction of named families, marginals and
-reduced states read from the purification, von Neumann entropies and
-multiparty information.  The marginal, entropy, ``fidelity_ops`` and
+Hilbert spaces, each stored as its canonical minimal purification
+alone.  The module provides construction of named families, marginals
+and reduced states read from the purification, von Neumann entropies
+and multiparty information.  The marginal, entropy, ``fidelity_ops`` and
 trace-norm kernels take stacks, so a batch of states is one call.  All
 entropies are in bits.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -53,10 +52,13 @@ def marginal_factor(vec: np.ndarray, dims: Sequence[int],
     rows are the subsystems in ``keep`` (in their original order) and
     whose columns are the rest, so the marginal on ``keep`` is M M^†."""
     lead = vec.shape[:-1]
-    keep = sorted(keep)
-    rest = [i for i in range(len(dims)) if i not in keep]
-    t = vec.reshape(lead + tuple(dims)).transpose(
-        list(range(len(lead))) + [len(lead) + i for i in keep + rest])
+    keep = set(keep)
+    # size-1 axes move no amplitude: leaving them out keeps any number of
+    # dimension-1 labels within numpy's 64-axis limit
+    axes = [i for i, d in enumerate(dims) if d > 1]
+    order = sorted(range(len(axes)), key=lambda j: axes[j] not in keep)
+    t = vec.reshape(lead + tuple(dims[i] for i in axes)).transpose(
+        list(range(len(lead))) + [len(lead) + j for j in order])
     return t.reshape(lead + (math.prod(dims[i] for i in keep), -1))
 
 
@@ -130,19 +132,18 @@ class _Ket:
 
 @dataclass(frozen=True, eq=False, init=False)
 class MultipartyState:
-    """Labeled density operator with optional mixture provenance.
+    """Labeled density operator psi psi^† with optional mixture provenance.
 
     Invariants checked at construction: finite entries, unit trace,
     Hermiticity, positivity (within 1e-9), matching shape, distinct
     labels, and, if provenance is present, that the recorded mixture
     reproduces ``op``.
 
-    ``psi`` (dim × r, read-only) is the canonical minimal purification:
-    the eigenvectors above ``EIG_CUTOFF``, by descending eigenvalue,
-    scaled by sqrt(eigenvalue).  It is set here, by the one eigensolve
-    of an operator input, or as the single column of a vector input.
-    ``op`` (read-only) is an operator input's validated copy; a vector
-    input stores only ``psi`` and forms ``op`` on its first read.
+    ``psi`` (dim × r, read-only) is the canonical minimal purification
+    and the state's one array: the eigenvectors above ``EIG_CUTOFF``, by
+    descending eigenvalue, scaled by sqrt(eigenvalue).  It is set here,
+    by the one eigensolve of an operator input, which is not kept, or
+    as the single column of a vector input.
     """
 
     labels: tuple[str, ...]
@@ -187,9 +188,6 @@ class MultipartyState:
             order = np.argsort(ev)[::-1]
             keep = order[ev[order] > EIG_CUTOFF]
             psi = vecs[:, keep] * np.sqrt(ev[keep])
-            op = op.copy()
-            op.flags.writeable = False
-            self.__dict__["op"] = op  # fills the cache of the ``op`` property
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)
         if self.provenance is not None:
@@ -199,20 +197,11 @@ class MultipartyState:
             # dense operator is 256 MiB
             rows = max(1, BLOCK_BYTES // (16 * d))
             for lo in range(0, d, rows):
-                rebuilt = np.zeros_like(op[lo:lo + rows])
-                for br, ket in zip(self.provenance, kets):
-                    rebuilt = rebuilt + br.weight * np.outer(
-                        ket[lo:lo + rows], ket.conj())
+                rebuilt = sum(br.weight * np.outer(k[lo:lo + rows], k.conj())
+                              for br, k in zip(self.provenance, kets))
                 if np.abs(rebuilt - op[lo:lo + rows]).max() > INPUT_TOL:
                     raise StateError(
                         "provenance does not reproduce the operator")
-
-    @functools.cached_property
-    def op(self) -> np.ndarray:
-        """|psi><psi| of a vector input, formed on the first read."""
-        op = np.outer(self.psi, self.psi.conj())
-        op.flags.writeable = False
-        return op
 
     @property
     def dim(self) -> int:
@@ -231,7 +220,7 @@ class MultipartyState:
         return math.prod(self.dims[i] for i in self.indices_of(mask))
 
     def purity(self) -> float:
-        gram = self.psi.conj().T @ self.psi  # r × r, same spectrum as op
+        gram = self.psi.conj().T @ self.psi  # r × r, the state's spectrum
         return float(np.sum(np.abs(gram) ** 2))
 
     def is_pure(self, tol: float = 1e-7) -> bool:

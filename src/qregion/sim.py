@@ -175,14 +175,16 @@ def _grouped_vector(state: MultipartyState, n: int,
     and the ``r**n`` purifier block is the trailing axis.
     """
     psi = state.psi / np.linalg.norm(state.psi)
-    r = psi.shape[1]
-    k = len(state.dims)
-    blocks = [first] + [l for l in range(k + 1) if l != first]
-    # copy-major axes (c, l) -> block-major (l, c)
-    axes = [c * (k + 1) + l for l in blocks for c in range(n)]
+    dims = list(state.dims) + [psi.shape[1]]
+    blocks = [first] + [l for l in range(len(dims)) if l != first]
+    # copy-major axes (c, l) -> block-major (l, c); size-1 axes move no
+    # amplitude, and leaving them out keeps within numpy's 64-axis limit
+    axes = [(c, l) for c in range(n) for l in range(len(dims)) if dims[l] > 1]
+    order = sorted(range(len(axes)),
+                   key=lambda j: (blocks.index(axes[j][1]), axes[j][0]))
     vec = qstate.kron_all([psi.reshape(-1)] * n)
-    return (vec.reshape((list(state.dims) + [r]) * n).transpose(axes)
-            .reshape(-1), r ** n)
+    return (vec.reshape([dims[l] for _, l in axes]).transpose(order)
+            .reshape(-1), dims[-1] ** n)
 
 
 def _product_fidelity(m: np.ndarray, sigma_a: np.ndarray,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -78,6 +79,28 @@ def random_mixture_state(rng, labels=("X1", "X2"), dims=(2, 2), branches=3):
     return build_state(random_mixture_spec(rng, labels, dims, branches))
 
 
+def dense_op(state):
+    """The state's density operator psi psi^†."""
+    return state.psi @ state.psi.conj().T
+
+
+def constructor_input(build, *args):
+    """``build(*args)`` and the operator that its last ``MultipartyState``
+    constructor call was given, a vector input as its outer product."""
+    given = []
+    init = qstate.MultipartyState.__init__
+
+    def record(self, labels, dims, op, provenance=None):
+        given.append(op)
+        init(self, labels, dims, op, provenance)
+    with mock.patch.object(qstate.MultipartyState, "__init__", record):
+        state = build(*args)
+    op = given[-1]
+    if isinstance(op, qstate._Ket):
+        return state, np.outer(op.vec, op.vec.conj())
+    return state, np.asarray(op, dtype=complex)
+
+
 # ---------------------------------------------------------------------------
 # reference kernels: the one-matrix and dense-operator code that the
 # stacked kernels in qregion replaced, kept to check them against
@@ -107,10 +130,11 @@ def reorder_subsystems(op, dims, order):
 
 def ncopy_op_reference(state, n):
     """n-copy density operator with each label's copies grouped: the
-    Kronecker power of ``op`` with its factors reordered label-major."""
-    op = state.op
+    Kronecker power of ``dense_op`` with its factors reordered
+    label-major."""
+    op = dense_op(state)
     for _ in range(n - 1):
-        op = np.kron(op, state.op)
+        op = np.kron(op, dense_op(state))
     k = len(state.labels)
     order = [c * k + l for l in range(k) for c in range(n)]
     return reorder_subsystems(op, list(state.dims) * n, order)
@@ -192,7 +216,9 @@ def fidelity_reference(a, b):
 def typical_projection_reference(state, sender, n, delta):
     """(projector, typical_dim, retained probability) of the
     delta-typical projection, one string of n letters at a time."""
-    marg = qstate.reduced_state(state, [sender]).op
+    marg = qstate.vector_marginal(state.psi.reshape(-1),
+                                  state.dims + state.psi.shape[1:],
+                                  [state.index_of(sender)])
     ev, vec = np.linalg.eigh(qstate.hermitian_part(marg))
     order = np.argsort(ev)[::-1]
     ev, vec = ev[order], vec[:, order]
@@ -318,7 +344,7 @@ def conditional_info_forms(state, parts, cond):
 def perturbation_report(a, b, parts, budget=esq.EsqBudget()):
     """Diagnostic (reported, not asserted): compare the estimate drift of
     two nearby states against the continuity modulus."""
-    eps = float(qstate.trace_norm(a.op - b.op)) / 2.0
+    eps = float(qstate.trace_norm(dense_op(a) - dense_op(b))) / 2.0
     est_a = esq.esq_upper_bound(a, parts, budget)
     est_b = esq.esq_upper_bound(b, parts, budget)
     part_dims = [a.dim_of(p) for p in parts]
@@ -337,14 +363,14 @@ def perturbation_report(a, b, parts, budget=esq.EsqBudget()):
 def coherent_info_floor_reference(state, parts):
     """max(0, max over nonempty proper unions S of the parts of
     H(X_S) - H(X_K)), every entropy an ``eigvalsh`` of the dense
-    marginal of ``op``."""
+    marginal of ``dense_op``."""
     parts = [frozenset(p) for p in parts]
     h = {}
     for size in range(1, len(parts) + 1):
         for combo in itertools.combinations(parts, size):
             keep = state.indices_of(frozenset().union(*combo))
             h[combo] = entropy_reference(
-                partial_trace_op(state.op, state.dims, keep))
+                partial_trace_op(dense_op(state), state.dims, keep))
     h_all = h.pop(tuple(parts))
     return max([0.0] + [v - h_all for v in h.values()])
 

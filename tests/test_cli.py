@@ -99,6 +99,16 @@ def test_hrep_parse_rejects_repeated_subset():
         parse_h_representation(text)
 
 
+def test_hrep_parse_names_a_non_numeric_line():
+    head = ["H-representation", "begin"]
+    with pytest.raises(qr.RegionError, match=r"size line: '1 x real'"):
+        parse_h_representation("\n".join(head + [" 1 x real", " -1 1",
+                                                  "end"]))
+    with pytest.raises(qr.RegionError, match=r"row: '-1 y'"):
+        parse_h_representation("\n".join(head + [" 1 2 real", " -1 y",
+                                                  "end"]))
+
+
 def test_region_command_report(tmp_path, ghz_spec_file):
     out = tmp_path / "report.json"
     code = run_command(["region", "--state", str(ghz_spec_file),

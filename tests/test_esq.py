@@ -17,9 +17,9 @@ from qregion.statespec import MixtureBranch, StateSpec
 from helpers import (bell_between_senders, bell_state,
                      coherent_info_floor_reference, cond_info_grad_reference,
                      cond_info_reference, cond_info_value_reference,
-                     esq_search_reference, ghz_state, perturbation_report,
-                     product_state, random_mixture_spec,
-                     random_mixture_state)
+                     dense_op, esq_search_reference, ghz_state,
+                     perturbation_report, product_state, random_mixture_spec,
+                     random_mixture_state, random_sender_state)
 
 SMALL = EsqBudget(d_e_values=(1, 2), restarts=2, iterations=2, seed=0)
 
@@ -293,10 +293,26 @@ def test_classify_verdicts_are_sound(seed, delta, corner, sender, rates):
             assert qr.membership(outer, q).verdict == "outside", point
 
 
+def test_estimate_covers_its_parts_once(monkeypatch):
+    calls = []
+    covered = E._covered
+    monkeypatch.setattr(E, "_covered",
+                        lambda *args: calls.append(args) or covered(*args))
+    mixture = random_mixture_state(np.random.default_rng(0))
+    pure = qr.reduced_state(random_sender_state(2, 1), {"A1", "A2"})
+    for state, parts, kind in [
+            (mixture, [{"X1"}, {"X2"}], "classical_flag"),
+            (pure, [{"A1"}, {"A2"}], "parameterized")]:
+        calls.clear()
+        est = qr.esq_upper_bound(state, parts, SMALL)
+        assert est.best_channel.kind == kind
+        assert len(calls) == 1
+
+
 def test_subadditivity_smoke_two_bells():
     # two Bell pairs, parts merged pairwise
     b = bell_state(("X1", "X2"), reference="X2")
-    op = np.kron(b.op, b.op)
+    op = np.kron(dense_op(b), dense_op(b))
     double = Q.MultipartyState(("X1", "X2", "Y1", "Y2"), (2, 2, 2, 2), op)
     est_xy = qr.esq_upper_bound(double, [{"X1", "Y1"}, {"X2", "Y2"}], SMALL)
     est_one = qr.esq_upper_bound(b, [{"X1"}, {"X2"}], SMALL)
@@ -357,7 +373,7 @@ def test_f1_values_and_flag():
 def test_perturbation_report_structure():
     a = qr.reduced_state(ghz_state(), {"A1", "A2"})
     eps = 0.002
-    op = (1 - eps) * a.op + eps * np.eye(4) / 4
+    op = (1 - eps) * dense_op(a) + eps * np.eye(4) / 4
     b = Q.MultipartyState(a.labels, a.dims, op)
     rep = perturbation_report(a, b, [{"A1"}, {"A2"}], SMALL)
     assert set(rep) == {"epsilon", "estimate_a", "estimate_b",

@@ -9,7 +9,8 @@ from qregion import esq as E
 from qregion import qstate as Q
 from qregion.statespec import MixtureBranch, StateSpec
 
-from helpers import (cond_info_reference, entropy_reference,
+from helpers import (cond_info_reference, constructor_input,
+                     entropy_reference,
                      fidelity_reference, partial_trace_op,
                      random_mixture_state, trace_norm_reference,
                      vector_marginal_reference)
@@ -122,11 +123,11 @@ def test_reduced_state_of_dropped_eigenvalue_passes_trace_check():
                      dims=(2, 2, 2), reference="R",
                      branches=(MixtureBranch(1 - 5e-13, ((1, 0),) * 3),
                                MixtureBranch(5e-13, ((0, 1),) * 3)))
-    state = qr.build_state(spec)
+    state, op = constructor_input(qr.build_state, spec)
     assert state.psi.shape[1] == 1
     for keep in ({"A1"}, {"A1", "A2"}, {"A2", "R"}):
-        marg = qr.reduced_state(state, keep)
+        marg, marg_op = constructor_input(qr.reduced_state, state, keep)
         idx = state.indices_of(keep)
-        ref = partial_trace_op(state.op, state.dims, idx)
-        assert np.abs(marg.op - ref).max() <= 1e-12
+        ref = partial_trace_op(op, state.dims, idx)
+        assert np.abs(marg_op - ref).max() <= 1e-12
         assert marg.provenance is not None

@@ -9,7 +9,8 @@ from qregion.qstate import MultipartyState, StateError, state_from_vector
 from qregion.statespec import MixtureBranch, SpecError, StateSpec
 
 from helpers import (bell_state, bell_with_spectator,
-                     conditional_info_forms, ghz_state,
+                     conditional_info_forms, constructor_input, dense_op,
+                     ghz_state,
                      multiparty_info_reference, product_state, random_ket,
                      random_mixture_spec)
 
@@ -18,7 +19,7 @@ def test_ghz_rank_one_and_marginal_spectrum():
     g = ghz_state()
     assert g.purity() == pytest.approx(1.0, abs=1e-12)
     marg = qr.reduced_state(g, {"A1"})
-    ev = np.sort(np.linalg.eigvalsh(marg.op))
+    ev = np.sort(np.linalg.eigvalsh(dense_op(marg)))
     assert np.allclose(ev, [0.5, 0.5], atol=1e-12)
 
 
@@ -36,18 +37,18 @@ def test_mixture_provenance_and_diagonal_op():
                                MixtureBranch(0.5, ((0, 1), (0, 1)))))
     st = qr.build_state(spec)
     assert len(st.provenance) == 2
-    assert np.allclose(st.op, np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
+    assert np.allclose(dense_op(st), np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
 
 
 def test_reduced_state_identity_and_bell_spectator():
     g = ghz_state()
     full = qr.reduced_state(g, set(g.labels))
-    assert np.abs(full.op - g.op).max() <= 1e-12
+    assert np.abs(dense_op(full) - dense_op(g)).max() <= 1e-12
 
     b = bell_with_spectator()
     marg = qr.reduced_state(b, {"A1", "A2"})
     want = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
-    assert np.abs(marg.op - want).max() <= 1e-12
+    assert np.abs(dense_op(marg) - want).max() <= 1e-12
 
 
 def test_entropy_examples():
@@ -157,37 +158,37 @@ def test_strong_subadditivity_random():
 
 
 def test_fidelity_examples():
-    b = bell_state()
-    assert Q.fidelity_ops(b.op, b.op) == pytest.approx(1.0, abs=1e-10)
-    mixed = MultipartyState(("A", "R"), (2, 2), np.eye(4) / 4)
-    assert Q.fidelity_ops(b.op, mixed.op) == pytest.approx(0.25, abs=1e-9)
-    zero = product_state(("A",), reference="A")
-    one = qr.build_state(StateSpec(family="product", labels=("A",),
-                                   dims=(2,), basis=(1,), reference="A"))
-    assert Q.fidelity_ops(zero.op, one.op) == pytest.approx(0.0, abs=1e-10)
+    b = dense_op(bell_state())
+    assert Q.fidelity_ops(b, b) == pytest.approx(1.0, abs=1e-10)
+    mixed = dense_op(MultipartyState(("A", "R"), (2, 2), np.eye(4) / 4))
+    assert Q.fidelity_ops(b, mixed) == pytest.approx(0.25, abs=1e-9)
+    zero = dense_op(product_state(("A",), reference="A"))
+    one = dense_op(qr.build_state(StateSpec(
+        family="product", labels=("A",), dims=(2,), basis=(1,),
+        reference="A")))
+    assert Q.fidelity_ops(zero, one) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_fidelity_symmetry():
     rng = np.random.default_rng(3)
     for seed in range(5):
-        a = qr.random_pure_state(("A", "B"), (2, 2), seed)
+        a = dense_op(qr.random_pure_state(("A", "B"), (2, 2), seed))
         mix = rng.dirichlet((1, 1, 1, 1))
-        b = MultipartyState(("A", "B"), (2, 2), np.diag(mix))
-        assert abs(Q.fidelity_ops(a.op, b.op)
-                   - Q.fidelity_ops(b.op, a.op)) <= 1e-8
+        b = dense_op(MultipartyState(("A", "B"), (2, 2), np.diag(mix)))
+        assert abs(Q.fidelity_ops(a, b) - Q.fidelity_ops(b, a)) <= 1e-8
 
 
 def test_trace_distance_examples():
-    b = bell_state()
-    assert Q.trace_norm(b.op - b.op) == pytest.approx(0.0, abs=1e-10)
-    zero = product_state(("A",), reference="A")
-    one = qr.build_state(StateSpec(family="product", labels=("A",),
-                                   dims=(2,), basis=(1,), reference="A"))
-    assert Q.trace_norm(zero.op - one.op) == pytest.approx(2.0, abs=1e-10)
-    mixed = MultipartyState(("A", "R"), (2, 2), np.eye(4) / 4)
-    assert Q.trace_norm(b.op - mixed.op) == pytest.approx(1.5, abs=1e-10)
-    assert Q.trace_norm(b.op - mixed.op) / 2 \
-        == pytest.approx(0.75, abs=1e-10)
+    b = dense_op(bell_state())
+    assert Q.trace_norm(b - b) == pytest.approx(0.0, abs=1e-10)
+    zero = dense_op(product_state(("A",), reference="A"))
+    one = dense_op(qr.build_state(StateSpec(
+        family="product", labels=("A",), dims=(2,), basis=(1,),
+        reference="A")))
+    assert Q.trace_norm(zero - one) == pytest.approx(2.0, abs=1e-10)
+    mixed = dense_op(MultipartyState(("A", "R"), (2, 2), np.eye(4) / 4))
+    assert Q.trace_norm(b - mixed) == pytest.approx(1.5, abs=1e-10)
+    assert Q.trace_norm(b - mixed) / 2 == pytest.approx(0.75, abs=1e-10)
 
 
 def test_fidelity_trace_distance_sandwich():
@@ -198,9 +199,9 @@ def test_fidelity_trace_distance_sandwich():
         v1, v2 = random_ket(rng, 4), random_ket(rng, 4)
         op = (w[0] * np.outer(v1, v1.conj()) + w[1] * np.outer(v2, v2.conj())
               + (w[2] + w[3]) * np.eye(4) / 4)
-        b = MultipartyState(("A", "B"), (2, 2), op)
-        f = Q.fidelity_ops(a.op, b.op)
-        d = Q.trace_norm(a.op - b.op) / 2
+        a, b = dense_op(a), dense_op(MultipartyState(("A", "B"), (2, 2), op))
+        f = Q.fidelity_ops(a, b)
+        d = Q.trace_norm(a - b) / 2
         assert 1 - np.sqrt(f) <= d + 1e-7
         assert d <= np.sqrt(1 - f) + 1e-7
 
@@ -230,7 +231,7 @@ def test_w_state_marginal_spectrum():
     w = qr.build_state(StateSpec(family="w", labels=("A", "B", "C"),
                                  dims=(2, 2, 2), reference="C"))
     assert w.purity() == pytest.approx(1.0, abs=1e-12)
-    ev = np.sort(np.linalg.eigvalsh(qr.reduced_state(w, {"A"}).op))
+    ev = np.sort(np.linalg.eigvalsh(dense_op(qr.reduced_state(w, {"A"}))))
     assert np.allclose(ev, [1 / 3, 2 / 3], atol=1e-12)
 
 
@@ -238,8 +239,8 @@ def test_random_pure_deterministic():
     a = qr.random_pure_state(("A", "B"), (2, 2), 42)
     b = qr.random_pure_state(("A", "B"), (2, 2), 42)
     c = qr.random_pure_state(("A", "B"), (2, 2), 43)
-    assert np.abs(a.op - b.op).max() == 0.0
-    assert np.abs(a.op - c.op).max() > 1e-3
+    assert np.abs(dense_op(a) - dense_op(b)).max() == 0.0
+    assert np.abs(dense_op(a) - dense_op(c)).max() > 1e-3
 
 
 def test_build_state_rejects_unknown_family():
@@ -299,7 +300,7 @@ def test_provenance_is_checked_in_row_blocks_at_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20, f"peak {peak / 2 ** 20:.1f} MiB"
-    assert "op" not in vars(state) and state.provenance is None
+    assert not hasattr(state, "op") and state.provenance is None
     # nine qubits are eight row blocks: |1...10> differs from the
     # operator |1...1><1...1| in the last block alone
     op = np.zeros((512, 512))
@@ -315,7 +316,7 @@ def test_provenance_is_checked_in_row_blocks_at_the_cap():
 def test_provenance_is_checked_one_row_per_block(monkeypatch):
     spec = random_mixture_spec(np.random.default_rng(3), ("A1", "A2", "R"),
                                (2, 3, 2), 3)
-    op = qr.build_state(spec).op
+    _, op = constructor_input(qr.build_state, spec)
     monkeypatch.setattr(Q, "BLOCK_BYTES", 1)  # one row per block
     state = MultipartyState(spec.labels, spec.dims, op, spec.branches)
     assert state.provenance == spec.branches

@@ -12,7 +12,7 @@ from qregion.region import RegionError
 from qregion.sim import SimError
 from qregion.statespec import MixtureBranch, StateSpec
 
-from helpers import (bell_state, fidelity_reference, ghz_state,
+from helpers import (bell_state, dense_op, fidelity_reference, ghz_state,
                      ncopy_op_reference, partial_trace_op, product_state,
                      random_mixture_state, random_sender_state,
                      reorder_subsystems,
@@ -176,7 +176,7 @@ def test_decoupling_invariant_under_fixed_prerotation():
     w = qr.haar_unitary(2, 99)
     pre = np.kron(w, np.eye(2))
     rotated = qr.MultipartyState(("A", "R"), (2, 2),
-                                 pre @ state.op @ pre.conj().T)
+                                 pre @ dense_op(state) @ pre.conj().T)
     kw = dict(n=2, grid=[0.5], trials=150, seed=13)
     a = qr.decoupling_curve(state, "A", "R", **kw).points[0]
     b = qr.decoupling_curve(rotated, "A", "R", **kw).points[0]
@@ -215,6 +215,21 @@ def test_decoupling_three_label_state():
     assert curve.points[0].mean_dist == pytest.approx(0.5, abs=1e-10)
     assert curve.points[0].stderr_dist <= 1e-12
     assert curve.points[1].mean_dist <= 1e-9
+
+
+@pytest.mark.parametrize("spectators, n", [(30, 1), (30, 2), (30, 3),
+                                           (70, 1)])
+def test_dimension_one_spectators_leave_the_curve_unchanged(spectators, n):
+    # (labels + 1) * n axes of the n-copy vector pass numpy's 64-axis limit
+    # unless the size-1 axes are left out
+    labels = ("A1",) + tuple(f"S{i}" for i in range(1, spectators + 1))
+    wide = qr.random_pure_state(labels + ("R",), (2,) + (1,) * spectators
+                                + (2,), 9)
+    bare = qr.random_pure_state(("A1", "R"), (2, 2), 9)
+    grid = [k / n for k in range(n + 1)]
+    csv = [qr.decoupling_curve(state, "A1", "R", n, grid, trials=4,
+                               seed=3).to_csv() for state in (wide, bare)]
+    assert csv[0] == csv[1]
 
 
 def test_decoupling_csv_format():

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import qregion as qr
 from qregion import qstate as Q
 
-from qregion.statespec import StateSpec
+from qregion.statespec import MixtureBranch, StateSpec
 
-from helpers import (bell_state, bell_with_spectator, entropy_reference,
-                     ghz_state, ncopy_op_reference, partial_trace_op,
+from helpers import (bell_state, bell_with_spectator, constructor_input,
+                     dense_op, entropy_reference, ghz_state,
+                     ncopy_op_reference, partial_trace_op,
                      random_mixture_spec, random_mixture_state,
                      random_sender_state)
 
@@ -23,12 +24,14 @@ from helpers import (bell_state, bell_with_spectator, entropy_reference,
 def _entropy_reference(state, mask):
     """Operator path: partial trace of the dense op, then eigensolve."""
     idx = state.indices_of(mask)
-    return entropy_reference(partial_trace_op(state.op, state.dims, idx))
+    return entropy_reference(partial_trace_op(dense_op(state), state.dims,
+                                              idx))
 
 
-def _purification_reference(state):
-    """The eigensolve recipe that built the purification on demand."""
-    ev, vec = np.linalg.eigh(Q.hermitian_part(state.op))
+def _purification_reference(op):
+    """The eigensolve recipe that built the purification on demand, run
+    on the operator the constructor was given."""
+    ev, vec = np.linalg.eigh(Q.hermitian_part(op))
     order = np.argsort(ev)[::-1]
     ev, vec = ev[order], vec[:, order]
     keep = ev > Q.EIG_CUTOFF
@@ -78,15 +81,22 @@ def test_entropy_matches_operator_reference_on_every_mask(name):
                    - _entropy_reference(state, mask)) <= 1e-12
 
 
+def _operator_inputs():
+    """(state, the operator its constructor was given) for each kind of
+    operator input: a mixture, reduced states and direct operators."""
+    yield constructor_input(_mixture)
+    yield constructor_input(_reduced)
+    yield constructor_input(qr.reduced_state, ghz_state(), {"A1", "A2"})
+    yield constructor_input(Q.MultipartyState, ("X",), (2,), np.eye(2) / 2)
+    yield constructor_input(
+        Q.MultipartyState, ("X1", "X2"), (4, 4), ncopy_op_reference(
+            random_mixture_state(np.random.default_rng(1)), 2))
+
+
 def test_purification_vector_bit_identical_for_operator_inputs():
-    states = [_mixture(), _reduced(),
-              qr.reduced_state(ghz_state(), {"A1", "A2"}),
-              Q.MultipartyState(("X",), (2,), np.eye(2) / 2),
-              Q.MultipartyState(("X1", "X2"), (4, 4), ncopy_op_reference(
-                  random_mixture_state(np.random.default_rng(1)), 2))]
-    for state in states:
+    for state, op in _operator_inputs():
         psi, r = Q.purification_vector(state)
-        ref_psi, ref_r = _purification_reference(state)
+        ref_psi, ref_r = _purification_reference(op)
         assert r == ref_r
         assert psi.shape == ref_psi.shape
         assert np.array_equal(psi, ref_psi)
@@ -96,33 +106,27 @@ def test_purification_vector_bit_identical_for_operator_inputs():
 def test_psi_purifies_the_state():
     # row-major psi: the state's axes major, the purifier axis minor
     # the last has an uneven spectrum, so a wrong column scale shows
-    states = [Q.MultipartyState(("X",), (2,), np.eye(2) / 2), bell_state(),
-              qr.reduced_state(ghz_state(), {"A1", "A2"}), _mixture()]
-    for state in states:
+    inputs = [constructor_input(Q.MultipartyState, ("X",), (2,),
+                                np.eye(2) / 2),
+              constructor_input(bell_state),
+              constructor_input(qr.reduced_state, ghz_state(), {"A1", "A2"}),
+              constructor_input(_mixture)]
+    for state, op in inputs:
         r = state.psi.shape[1]
         pure = Q.state_from_vector(state.psi.reshape(-1),
                                    state.labels + ("P",), state.dims + (r,))
         assert pure.purity() == pytest.approx(1.0, abs=1e-10)
-        back = qr.reduced_state(pure, state.labels)
-        assert np.abs(back.op - state.op).max() <= 1e-9
+        _, back = constructor_input(qr.reduced_state, pure, state.labels)
+        assert np.abs(back - op).max() <= 1e-9
     assert bell_state().psi.shape[1] == 1
 
 
 def test_vector_input_keeps_its_vector():
     vec = np.array([3, 0, 0, 4j])
     state = Q.state_from_vector(vec, ("A", "B"), (2, 2))
+    assert state.psi.shape == (4, 1)
     assert np.array_equal(state.psi[:, 0], vec / 5)
-    assert np.array_equal(state.op, np.outer(vec / 5, (vec / 5).conj()))
     assert state.purity() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_vector_input_forms_op_once_on_first_read():
-    state = random_sender_state(3, 5, d_ref=2)
-    assert "op" not in vars(state)
-    op = state.op
-    assert np.array_equal(op, np.outer(state.psi, state.psi.conj()))
-    assert not op.flags.writeable
-    assert state.op is op
 
 
 def test_pure_state_region_and_greedy_form_no_operator():
@@ -136,7 +140,37 @@ def test_pure_state_region_and_greedy_form_no_operator():
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20, f"peak {peak / 2 ** 20:.1f} MiB"
-    assert "op" not in vars(state)
+    assert not hasattr(state, "op")
+
+
+def test_mixture_state_keeps_no_operator():
+    # a dense operator on ten qubits is 16 MiB; psi of rank 2 is 32 KiB
+    kets = (((1, 0),) * 10, ((0, 1),) * 10)
+    spec = StateSpec("mixture", tuple(f"A{i}" for i in range(1, 10)) + ("R",),
+                     (2,) * 10, "R", branches=(MixtureBranch(0.5, kets[0]),
+                                               MixtureBranch(0.5, kets[1])))
+    tracemalloc.start()
+    try:
+        state = qr.build_state(spec)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20, f"kept {kept / 2 ** 20:.2f} MiB"
+    assert state.psi.shape == (1024, 2)
+
+
+@pytest.mark.parametrize("family, field", [
+    ("product", {"basis": (0, 1, 0)}), ("ghz", {}), ("w", {}),
+    ("bell", {"pair": ("A1", "R")}), ("random_pure", {"seed": 1}),
+    ("mixture", None)])
+def test_no_state_has_an_operator_attribute(family, field):
+    labels, dims = ("A1", "A2", "R"), (2, 2, 2)
+    spec = random_mixture_spec(np.random.default_rng(1), labels, dims) \
+        if field is None else StateSpec(family, labels, dims, "R", **field)
+    state = qr.build_state(spec)
+    for each in (state, qr.reduced_state(state, {"A1", "R"})):
+        assert not hasattr(each, "op")
+        assert vars(each).keys() == {"labels", "dims", "provenance", "psi"}
 
 
 @pytest.fixture
@@ -241,10 +275,10 @@ def _random_specs(draw):
 @given(_random_specs())
 def test_purification_round_trip(spec):
     # purify on a new label P, then trace P out again
-    state = qr.build_state(spec)
+    state, op = constructor_input(qr.build_state, spec)
     psi, r = Q.purification_vector(state)
     pure = Q.state_from_vector(psi.reshape(-1), state.labels + ("P",),
                                state.dims + (r,))
     assert pure.is_pure(1e-10)
-    back = qr.reduced_state(pure, state.labels)
-    assert np.abs(back.op - state.op).max() <= 1e-9
+    _, back = constructor_input(qr.reduced_state, pure, state.labels)
+    assert np.abs(back - op).max() <= 1e-9
