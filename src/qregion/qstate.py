@@ -4,8 +4,11 @@ States are labeled density operators on a tensor product of small
 Hilbert spaces, each stored as its canonical minimal purification
 alone.  The module provides construction of named families, marginals
 and reduced states read from the purification, von Neumann entropies
-and multiparty information.  The marginal, entropy, ``fidelity_ops`` and
-trace-norm kernels take stacks, so a batch of states is one call.  All
+and multiparty information.  The kernels take stacks, so a batch of
+states is one call: ``marginal_factor`` and ``vector_marginal``,
+``entropy_of_op``, ``psd_sqrt``, ``fidelity_ops`` and ``trace_norm``.
+The decoupling simulator reads its fidelities from ``marginal_factor``,
+``psd_sqrt`` and one Gram eigensolve, not from ``fidelity_ops``.  All
 entropies are in bits.
 """
 from __future__ import annotations
@@ -264,9 +267,12 @@ def build_state(spec: StateSpec) -> MultipartyState:
 
 def _basis_sum(spec: StateSpec, strings) -> MultipartyState:
     """Equal-weight superposition of basis strings (one row each, one
-    index per label)."""
+    index per label).  The flat index is a dot product with the
+    row-major strides: ``np.ravel_multi_index`` takes one axis per label
+    and refuses more than 64."""
+    strides = [math.prod(spec.dims[i + 1:]) for i in range(len(spec.dims))]
     vec = np.zeros(math.prod(spec.dims), dtype=complex)
-    vec[np.ravel_multi_index(np.asarray(strings).T, spec.dims)] = 1
+    vec[np.asarray(strings, dtype=np.int64) @ strides] = 1
     return state_from_vector(vec, spec.labels, spec.dims)
 
 

@@ -187,42 +187,57 @@ def _grouped_vector(state: MultipartyState, n: int,
             .reshape(-1), dims[-1] ** n)
 
 
-def _product_fidelity(m: np.ndarray, sigma_a: np.ndarray,
-                      sigma_b: np.ndarray) -> np.ndarray:
-    """Fidelities of a stack of joints J = M M^dagger on A (x) B against
-    the products P of their marginals ``sigma_a`` (x) ``sigma_b``.
-
-    sqrt(P) = sqrt(sigma_a) (x) sqrt(sigma_b), and Tr sqrt(sqrt(P) J
-    sqrt(P)) is the nuclear norm of sqrt(P) M.  Singular values below
-    1e-6 times the row's largest are dropped, the cut ``fidelity_ops``
-    makes on the eigenvalues of sqrt(P) J sqrt(P) (below 1e-12 times).
-    """
-    ra, rb = qstate.psd_sqrt(sigma_a), qstate.psd_sqrt(sigma_b)
-    root = (ra[:, :, None, :, None] * rb[:, None, :, None, :]).reshape(
-        len(m), m.shape[1], m.shape[1])
-    s = np.linalg.svd(root @ m, compute_uv=False)
-    s[s < s.max(-1, keepdims=True) * 1e-6] = 0.0
-    return np.clip(s.sum(-1) ** 2, 0.0, 1.0)
+def _apply_product(m: np.ndarray, a: np.ndarray, b: np.ndarray
+                   ) -> np.ndarray:
+    """(a (x) b) M for a stack of (d_a d_b) x k matrices M, one factor at
+    a time: the stack ``a`` on the A axis, the one matrix ``b`` on the B
+    axis of M reshaped to (rows, d_a, d_b, k)."""
+    rows, d_joint, k = m.shape
+    d_a = a.shape[-1]
+    t = (a @ m.reshape(rows, d_a, -1)).reshape(rows, d_a, -1, k)
+    return (b @ t).reshape(rows, d_joint, k)
 
 
-def _split_errors(vecs: np.ndarray, dims: Sequence[int], ref_pos: int
+def _split_errors(vecs: np.ndarray, dims: Sequence[int], ref_pos: int,
+                  sigma_r: np.ndarray, root_r: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Decoupling errors of a stack of amplitude vectors on ``dims``, the
     sent part A1 and the kept part A2 leading: the normalized trace
     distances and fidelities, one per vector, between the A2/reference
-    joint and the product of its marginals."""
+    joint J = M M^dagger and the product P = sigma_A2 (x) sigma_R of its
+    marginals.
+
+    ``sigma_r`` is the reference marginal, which a rotation of the sender
+    block leaves unchanged, and ``root_r`` its square root.  The
+    fidelity is (sum sqrt(lambda))^2 over the squared singular values of
+    sqrt(P) M: the spectrum of the k x k matrix M^dagger P M when M has
+    k <= D columns, else the nonzero spectrum of the D x D matrix
+    sqrt(P) J sqrt(P).  Eigenvalues below 1e-12 times the row's largest
+    are dropped, the cut ``fidelity_ops`` makes.
+    """
     d_a2, d_ref = dims[1], dims[ref_pos]
-    # joint = M M^dagger, M's rows kept A2 x reference
     m = qstate.marginal_factor(vecs, dims, [1, ref_pos])
+    rows, d_joint, k = m.shape
+    m_a = m.reshape(rows, d_a2, -1)
+    sigma_a2 = m_a @ m_a.conj().swapaxes(-1, -2)
+    if k <= d_joint:
+        gram = m.conj().swapaxes(-1, -2) @ _apply_product(m, sigma_a2,
+                                                          sigma_r)
+    else:
+        gram = _apply_product(m, qstate.psd_sqrt(sigma_a2), root_r)
+        gram = gram @ gram.conj().swapaxes(-1, -2)
+    ev = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+    del gram
+    # square-rooting amplifies eigensolver noise near zero
+    ev[ev < ev.max(-1, keepdims=True) * 1e-12] = 0.0
+    fid = np.sqrt(ev).sum(-1)
     joint = m @ m.conj().swapaxes(-1, -2)
-    j5 = joint.reshape(-1, d_a2, d_ref, d_a2, d_ref)
-    sigma_a2 = np.trace(j5, axis1=2, axis2=4)
-    sigma_r = np.trace(j5, axis1=1, axis2=3)
-    # J - P in place, so no product operator outlives this line
-    joint -= (sigma_a2[:, :, None, :, None]
-              * sigma_r[:, None, :, None, :]).reshape(joint.shape)
-    return qstate.trace_norm(joint) / 2.0, _product_fidelity(m, sigma_a2,
-                                                             sigma_r)
+    del m, m_a  # J and the marginals are all the distance needs
+    # J - P in place, one A2 row at a time, so no product operator forms
+    j5 = joint.reshape(rows, d_a2, d_ref, d_a2, d_ref)
+    for i in range(d_a2):
+        j5[:, i] -= sigma_a2[:, i, None, :, None] * sigma_r[:, None, :]
+    return qstate.trace_norm(joint) / 2.0, np.clip(fid * fid, 0.0, 1.0)
 
 
 def decoupling_curve(state: MultipartyState, sender: str, reference: str,
@@ -296,6 +311,10 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
         retained, delta = proj.retained_probability, proj.delta
         vec = (proj.projector @ vec.reshape(block, rest)).reshape(-1)
         vec = vec / np.linalg.norm(vec)
+    # the draw acts on the sender block alone: one reference marginal,
+    # and its square root, serve every trial and grid point
+    sigma_r = qstate.vector_marginal(vec, [block] + rest_dims, [ref_pos - 1])
+    root_r = qstate.psd_sqrt(sigma_r)
 
     def split_dims(nq):
         return [2 ** nq, block // 2 ** nq] + rest_dims
@@ -307,7 +326,8 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     drawn = []
     for gi, (_, nq) in enumerate(splits):
         if nq == 0 or 2 ** nq == block:
-            d, f = _split_errors(vec[None], split_dims(nq), ref_pos)
+            d, f = _split_errors(vec[None], split_dims(nq), ref_pos,
+                                 sigma_r, root_r)
             mean_d[gi], mean_f[gi] = d[0], f[0]
         else:
             drawn.append(gi)
@@ -325,7 +345,8 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
             rotated = (us @ vec.reshape(block, rest)).reshape(t1 - t0, -1)
             for row, gi in enumerate(drawn):
                 dists[row, t0:t1], fids[row, t0:t1] = _split_errors(
-                    rotated, split_dims(splits[gi][1]), ref_pos)
+                    rotated, split_dims(splits[gi][1]), ref_pos, sigma_r,
+                    root_r)
         mean_d[drawn], mean_f[drawn] = dists.mean(axis=1), fids.mean(axis=1)
         if trials > 1:
             stderr[drawn] = dists.std(axis=1, ddof=1) / math.sqrt(trials)

@@ -54,6 +54,11 @@ def random_sender_state(m, seed, d_ref=None):
     return random_pure_state(labels, dims, seed)
 
 
+def ginibre(rng, shape):
+    """Complex Gaussian array of ``shape``."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_ket(rng, d):
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
@@ -117,6 +122,26 @@ def partial_trace_op(op, dims, keep):
         dims.pop(i)
     d = int(np.prod(dims)) if dims else 1
     return np.ascontiguousarray(t.reshape(d, d))
+
+
+def basis_sum_reference(spec):
+    """Amplitude vector of a product, ghz, w or bell spec: its basis
+    strings, one row each, flattened by ``np.ravel_multi_index``."""
+    dims = spec.dims
+    if spec.family == "product":
+        strings = [spec.basis]
+    elif spec.family == "ghz":
+        strings = [[j if d > 1 else 0 for d in dims]
+                   for j in range(max(dims))]
+    elif spec.family == "w":
+        strings = [[int(i == j) for j in range(len(dims))]
+                   for i in range(len(dims))]
+    else:
+        strings = [[j if lab in spec.pair else 0 for lab in spec.labels]
+                   for j in range(spec.dim(spec.pair[0]))]
+    vec = np.zeros(math.prod(dims), dtype=complex)
+    vec[np.ravel_multi_index(np.asarray(strings).T, dims)] = 1
+    return vec / np.linalg.norm(vec)
 
 
 def reorder_subsystems(op, dims, order):

@@ -450,6 +450,25 @@ def test_simulate_sender_flag_picks_the_sender(tmp_path):
     assert out.read_text() == want.to_csv()
 
 
+def test_simulate_takes_seventy_dimension_one_spectators(tmp_path):
+    # 72 labels: one numpy axis per label would pass the 64-axis limit
+    def curve(name, labels, dims):
+        spec = tmp_path / f"{name}.spec"
+        spec.write_text(json.dumps({
+            "family": "product", "labels": labels, "dims": dims,
+            "basis": [0] * len(labels), "reference": "R"}))
+        out = tmp_path / f"{name}.csv"
+        assert run_command(["simulate", "--state", str(spec), "--out",
+                            str(out), "--seed", "3", "--copies", "2",
+                            "--grid", "0,0.5,1", "--trials", "5",
+                            "--sender", "A1"]) == 0
+        return out.read_text()
+
+    spectators = [f"S{i}" for i in range(1, 71)]
+    assert curve("s70", spectators + ["A1", "R"], [1] * 70 + [2, 2]) \
+        == curve("s2", ["A1", "R"], [2, 2])
+
+
 @pytest.mark.parametrize("sender, message", [
     ("R", "sender and reference must differ"),
     ("Z", "unknown label 'Z'"),

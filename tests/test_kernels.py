@@ -10,16 +10,12 @@ from qregion import qstate as Q
 from qregion.statespec import MixtureBranch, StateSpec
 
 from helpers import (cond_info_reference, constructor_input,
-                     entropy_reference,
-                     fidelity_reference, partial_trace_op,
+                     entropy_reference, fidelity_reference, ginibre,
+                     partial_trace_op,
                      random_mixture_state, trace_norm_reference,
                      vector_marginal_reference)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
-
-
-def _ginibre(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @SETTINGS
@@ -27,7 +23,7 @@ def _ginibre(rng, shape):
        st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.data())
 def test_vector_marginal_rows_match_reference(dims, rows, seed, data):
     keep = data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True))
-    vecs = _ginibre(np.random.default_rng(seed), (rows, int(np.prod(dims))))
+    vecs = ginibre(np.random.default_rng(seed), (rows, int(np.prod(dims))))
     stacked = Q.vector_marginal(vecs, dims, keep)
     for vec, marg in zip(vecs, stacked):
         assert np.array_equal(marg, vector_marginal_reference(vec, dims,
@@ -42,7 +38,7 @@ def test_entropy_rows_match_reference(d, seed, data):
     rng = np.random.default_rng(seed)
     ops = []
     for r in ranks:
-        g = _ginibre(rng, (d, r))
+        g = ginibre(rng, (d, r))
         m = g @ g.conj().T
         ops.append(m / np.trace(m).real if r else m)
     stacked = Q.entropy_of_op(np.stack(ops))
@@ -64,7 +60,7 @@ def test_trace_norm_and_fidelity_rows_match_reference(d, seed, data):
     rng = np.random.default_rng(seed)
 
     def density(r):
-        g = _ginibre(rng, (d, r))
+        g = ginibre(rng, (d, r))
         m = g @ g.conj().T
         return m / np.trace(m).real
 
@@ -106,7 +102,7 @@ def test_cond_info_rows_match_reference(case):
     state, parts, d_e, d_g, rows, seed = case
     groups = Q.part_groups(state, parts)
     psi, r = Q.purification_vector(state)
-    isos = E._polar_isometry(_ginibre(np.random.default_rng(seed),
+    isos = E._polar_isometry(ginibre(np.random.default_rng(seed),
                                       (rows, d_e * d_g, r)))
     # the dephasing start gives rank-deficient marginals
     isos[0] = E._embedding_isometry(r, d_e, d_g)

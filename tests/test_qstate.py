@@ -9,8 +9,8 @@ from qregion.qstate import MultipartyState, StateError, state_from_vector
 from qregion.statespec import MixtureBranch, SpecError, StateSpec
 
 from helpers import (bell_state, bell_with_spectator,
-                     conditional_info_forms, constructor_input, dense_op,
-                     ghz_state,
+                     basis_sum_reference, conditional_info_forms,
+                     constructor_input, dense_op, ghz_state,
                      multiparty_info_reference, product_state, random_ket,
                      random_mixture_spec)
 
@@ -335,3 +335,53 @@ def test_dimension_cap_survives_int64_overflow():
         qr.build_state(spec)
     with pytest.raises(StateError, match=f"total dimension {2 ** 64} "):
         MultipartyState(("A", "B", "R"), dims, np.zeros((0, 0)))
+
+
+def _basis_specs(rng, n_labels):
+    """One product, ghz, w and bell spec on ``n_labels`` labels, under
+    the dimension cap: the labels past the first few have dimension 1."""
+    labels = tuple(f"X{i}" for i in range(n_labels))
+
+    def dims_with(live, d):
+        dims = [1] * n_labels
+        for i in rng.choice(n_labels, size=live, replace=False):
+            dims[i] = d
+        return tuple(dims)
+
+    dims = dims_with(min(n_labels, 6), 3)
+    basis = tuple(int(rng.integers(d)) for d in dims)
+    yield StateSpec("product", labels, dims, labels[-1], basis=basis)
+    yield StateSpec("ghz", labels, dims_with(min(n_labels, 7), 3),
+                    labels[-1])
+    if n_labels <= 12:  # every w label is a qubit
+        yield StateSpec("w", labels, (2,) * n_labels, labels[-1])
+    dims = list(dims_with(min(n_labels, 8), 2))
+    pair = tuple(int(i) for i in rng.choice(n_labels, size=2, replace=False))
+    for i in pair:
+        dims[i] = 4
+    yield StateSpec("bell", labels, tuple(dims), labels[-1],
+                    pair=tuple(labels[i] for i in pair))
+
+
+def test_basis_builders_match_ravel_multi_index():
+    # the stride dot product flattens each string as numpy's index does
+    rng = np.random.default_rng(25)
+    for n_labels in range(2, 33):
+        for spec in _basis_specs(rng, n_labels):
+            vec = qr.build_state(spec).psi[:, 0]
+            assert np.array_equal(vec, basis_sum_reference(spec)), spec
+
+
+def test_basis_builders_take_more_than_64_labels():
+    # np.ravel_multi_index takes one axis per label and refuses 72
+    labels = tuple(f"S{i}" for i in range(70)) + ("A", "R")
+    dims = (1,) * 70 + (2, 2)
+    for spec in (StateSpec("product", labels, dims, "R", basis=(0,) * 71
+                           + (1,)),
+                 StateSpec("ghz", labels, dims, "R"),
+                 StateSpec("bell", labels, dims, "R", pair=("A", "R"))):
+        vec = qr.build_state(spec).psi[:, 0]
+        short = StateSpec(spec.family, ("A", "R"), (2, 2), "R",
+                          basis=spec.basis and spec.basis[-2:],
+                          pair=spec.pair)
+        assert np.array_equal(vec, qr.build_state(short).psi[:, 0])

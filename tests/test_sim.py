@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from qregion.sim import SimError
 from qregion.statespec import MixtureBranch, StateSpec
 
 from helpers import (bell_state, dense_op, fidelity_reference, ghz_state,
-                     ncopy_op_reference, partial_trace_op, product_state,
-                     random_mixture_state, random_sender_state,
-                     reorder_subsystems,
+                     ginibre, ncopy_op_reference, partial_trace_op,
+                     product_state, random_mixture_state,
+                     random_sender_state, reorder_subsystems,
                      trace_norm_reference, typical_projection_reference)
 
 
@@ -521,3 +522,123 @@ def test_joint_cap_admits_512_and_refuses_1024():
     wider = qr.random_pure_state(("A", "R"), (32, 32), 1)
     with pytest.raises(SimError, match="joint operator of dimension 1024"):
         qr.decoupling_curve(wider, "A", "R", 1, [0.0], trials=2, seed=1)
+
+
+def _rotated_stack(rng, dims, rows, pure_a2=False):
+    """``rows`` amplitude vectors on (A1, A2, R, rest) = ``dims``: one
+    random vector with each row's own unitary on A1 A2, or on A1 alone
+    when A2 is held in a fixed pure state.  The reference marginal is
+    the same in every row."""
+    d_a1, d_a2, d_r, d_rest = dims
+    if pure_a2:
+        w = ginibre(rng, (d_a1, 1, d_r * d_rest))
+        vec = (w * ginibre(rng, (1, d_a2, 1))).reshape(-1)
+        us = np.stack([np.kron(qr.haar_unitary(d_a1, [7, t]), np.eye(d_a2))
+                       for t in range(rows)])
+    else:
+        vec = ginibre(rng, d_a1 * d_a2 * d_r * d_rest)
+        us = sim.haar_unitaries(d_a1 * d_a2, [[7, t] for t in range(rows)])
+    vec /= np.linalg.norm(vec)
+    rotated = (us @ vec.reshape(d_a1 * d_a2, -1)).reshape(rows, -1)
+    return vec, rotated
+
+
+def _assert_split_errors_match_reference(vec, rotated, dims):
+    sigma_r = qstate.vector_marginal(vec, dims, [2])
+    dists, fids = sim._split_errors(rotated, dims, 2, sigma_r,
+                                    qstate.psd_sqrt(sigma_r))
+    for v, dist, fid in zip(rotated, dists, fids):
+        joint = partial_trace_op(np.outer(v, v.conj()), dims, [1, 2])
+        product = np.kron(partial_trace_op(joint, dims[1:3], [0]),
+                          partial_trace_op(joint, dims[1:3], [1]))
+        assert abs(fid - fidelity_reference(joint, product)) <= 1e-10
+        assert abs(dist - trace_norm_reference(joint - product) / 2) <= 1e-10
+
+
+# (A1, A2, R, rest): k = d_A1 d_rest columns of M against D = d_A2 d_R rows
+@pytest.mark.parametrize("dims", [(2, 4, 2, 1), (2, 2, 3, 3), (4, 2, 2, 4),
+                                  (3, 2, 2, 4)],
+                         ids=["k<D", "k=D", "k>D", "k>D-odd"])
+@pytest.mark.parametrize("pure_a2", [False, True],
+                         ids=["entangled", "rank-one-A2"])
+def test_split_errors_match_the_dense_reference(dims, pure_a2):
+    rng = np.random.default_rng(math.prod(dims) + pure_a2)
+    vec, rotated = _rotated_stack(rng, dims, 5, pure_a2)
+    _assert_split_errors_match_reference(vec, rotated, list(dims))
+
+
+def test_split_errors_with_one_column_match_the_dense_reference():
+    # Bell at Q = 0: nothing sent and no purifier, so M is D x 1
+    bell = bell_state()
+    vec = bell.psi.reshape(-1)
+    us = sim.haar_unitaries(2, [[3, t] for t in range(4)])
+    rotated = (us @ vec.reshape(2, 2)).reshape(4, -1)
+    _assert_split_errors_match_reference(vec, rotated, [1, 2, 2, 1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_decoupling_cases(), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_rotations_leave_the_reference_marginal_unchanged(case, seed,
+                                                          typical):
+    # the precondition for taking sigma_R once per curve
+    state, sender, n, _ = case
+    s_idx, r_idx = state.index_of(sender), state.index_of("R")
+    vec, purifier = sim._grouped_vector(state, n, s_idx)
+    dims = [state.dims[s_idx] ** n] + [
+        state.dims[i] ** n for i in range(len(state.dims)) if i != s_idx
+    ] + [purifier]
+    block = dims[0]
+    if typical:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            proj = qr.typical_projection(state, sender, n, 0.5)
+        vec = (proj.projector @ vec.reshape(block, -1)).reshape(-1)
+        vec /= np.linalg.norm(vec)
+    ref = r_idx + (r_idx < s_idx)  # the reference's axis after the block
+    sigma_r = qstate.vector_marginal(vec, dims, [ref])
+    us = sim.haar_unitaries(block, [[seed, t] for t in range(8)])
+    rotated = (us @ vec.reshape(block, -1)).reshape(8, -1)
+    assert np.abs(qstate.vector_marginal(rotated, dims, [ref])
+                  - sigma_r).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_haar_unitary_first_and_second_moments(d):
+    # E[U_ij] = 0 and E|U_ij|^2 = 1/d, each within 4 standard errors
+    draws = 4000
+    u = sim.haar_unitaries(d, [[d, t] for t in range(draws)])
+    for part in (u.real, u.imag):
+        mean = part.mean(axis=0)
+        stderr = part.std(axis=0, ddof=1) / math.sqrt(draws)
+        assert (np.abs(mean) <= 4 * stderr).all()
+    sq = np.abs(u) ** 2
+    stderr = sq.std(axis=0, ddof=1) / math.sqrt(draws)
+    assert (np.abs(sq.mean(axis=0) - 1 / d) <= 4 * stderr).all()
+
+
+def test_a_drawn_trial_runs_no_svd_and_no_reference_eigensolve(monkeypatch):
+    # block 8 against A2 and R of 8 each: Q = 1/3 keeps D = 32 rows and
+    # k = 16 columns of M, Q = 2/3 keeps D = 16 and k = 32
+    state = random_sender_state(2, 7, d_ref=2)
+    calls = []
+
+    def record(name, solve):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solve(a, *args, **kwargs)
+        return wrapper
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        record("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", record("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    qr.decoupling_curve(state, "A1", "R", 3, [1 / 3, 2 / 3], trials=5,
+                        seed=1)
+    assert calls == [
+        ("eigh", (8, 8)),  # sqrt(sigma_R), once per curve
+        ("eigvalsh", (5, 16, 16)), ("eigvalsh", (5, 32, 32)),  # k < D
+        ("eigh", (5, 2, 2)),  # sqrt(sigma_A2), only when k > D
+        ("eigvalsh", (5, 16, 16)), ("eigvalsh", (5, 16, 16))]
