@@ -129,9 +129,9 @@ def _vertices_field(vr) -> list:
             for v in vr.vertices]
 
 
-def _constants_field(constants) -> dict:
-    """Subset-keyed constants (canonical row order) keyed by name."""
-    return {subset_name(s): v for s, v in constants.items()}
+def _constants_field(rc: RegionConstants) -> dict:
+    """The constants in canonical row order, keyed by subset name."""
+    return {subset_name(s): v for s, v in zip(rc.subsets, rc.bounds.tolist())}
 
 
 def _cmd_region(args, spec, state) -> tuple:
@@ -139,7 +139,7 @@ def _cmd_region(args, spec, state) -> tuple:
     violations = region.check_supermodular(rc)
     return {
         "reference": rc.reference,
-        "constants": _constants_field(rc.c),
+        "constants": _constants_field(rc),
         "vertices": _vertices_field(vr),
         "supermodular": "pass" if not violations else [
             {"K": subset_name(k), "L": subset_name(l), "deficit": d}
@@ -204,9 +204,9 @@ def _esq_fields(state, rc, args) -> tuple[dict, RegionConstants]:
             "iterations": budget.iterations,
         }
     outer = esq.outer_bound_constants(rc, raw)
-    return {"inner_constants": _constants_field(rc.c),
+    return {"inner_constants": _constants_field(rc),
             "esq_estimates": estimates,
-            "outer_constants": _constants_field(outer.c)}, outer
+            "outer_constants": _constants_field(outer)}, outer
 
 
 def _cmd_esq(args, spec, state) -> tuple:

@@ -83,9 +83,10 @@ class ExtensionChannel:
 
 @dataclass(frozen=True)
 class EsqBudget:
-    """Search budget: the E-dimension sweep, random restarts per sweep
-    entry, descent passes per restart (``STEPS_PER_PASS`` gradient steps
-    each), and the master seed (restart i draws from (seed, i))."""
+    """Search budget: the E-dimension sweep (stored sorted, each value
+    once), random restarts per sweep entry, descent passes per restart
+    (``STEPS_PER_PASS`` gradient steps each), and the master seed
+    (restart i draws from (seed, i))."""
 
     d_e_values: tuple[int, ...] = (1, 2, 3, 4)
     restarts: int = 8
@@ -106,8 +107,8 @@ class EsqBudget:
             if not _is_int(d_e) or d_e < 1:
                 raise EsqError(f"budget d_e_values entries must be integers "
                                f">= 1, got {d_e!r}")
-        object.__setattr__(self, "d_e_values",
-                           tuple(int(d_e) for d_e in self.d_e_values))
+        object.__setattr__(self, "d_e_values", tuple(sorted(
+            {int(d_e) for d_e in self.d_e_values})))
         if self.restarts > MAX_RESTARTS:
             raise EsqError(f"budget restarts {self.restarts} exceeds the "
                            f"cap {MAX_RESTARTS}")
@@ -141,7 +142,6 @@ class EsqEstimate:
     lower: float
     baseline: float
     best_channel: ExtensionChannel
-    budget: EsqBudget
 
 
 def trivial_channel(d_source: int) -> ExtensionChannel:
@@ -419,7 +419,7 @@ def esq_upper_bound(state: MultipartyState,
                 best_ch, best_raw = flag, raw
 
     winner = None  # (d_e, d_g, isometry) of the best descent, if any leads
-    for d_e in sorted(set(budget.d_e_values)):  # d_G = d_E
+    for d_e in budget.d_e_values:  # d_G = d_E
         if best_raw <= target:
             break  # no extension can lower the value by more than FEAS_TOL
         if d_e * d_e < r or budget.restarts < 1:
@@ -443,7 +443,7 @@ def esq_upper_bound(state: MultipartyState,
         best_raw = score(best_ch)
     baseline = max(0.0, 0.5 * baseline_raw)
     value = min(baseline, max(0.0, 0.5 * best_raw))
-    return EsqEstimate(value, lower, baseline, best_ch, budget)
+    return EsqEstimate(value, lower, baseline, best_ch)
 
 
 # ---------------------------------------------------------------------------

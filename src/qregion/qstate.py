@@ -226,8 +226,8 @@ class MultipartyState:
         gram = self.psi.conj().T @ self.psi  # r × r, the state's spectrum
         return float(np.sum(np.abs(gram) ** 2))
 
-    def is_pure(self, tol: float = 1e-7) -> bool:
-        return self.purity() >= 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity() >= 1.0 - 1e-7
 
 
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:

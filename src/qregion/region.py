@@ -18,8 +18,7 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -64,19 +63,20 @@ class RegionConstants:
     canonical rows are the nonempty subsets in (size, lexicographic by
     label) order: ``subsets`` and ``masks`` list them, ``incidence``
     holds their 0/1 rows over ``senders`` and ``bounds`` their C_K.
-    ``c`` and ``value`` are frozenset-keyed views of the same numbers.
+    The constructor takes the constants as a subset-keyed mapping ``c``;
+    ``value`` reads one back by its label set.
     """
 
     senders: tuple[str, ...]
     reference: str
-    c: Mapping[frozenset[str], float]
+    c: InitVar[Mapping[frozenset[str], float]]
     subsets: tuple[frozenset[str], ...] = field(init=False, repr=False)
     masks: np.ndarray = field(init=False, repr=False)
     incidence: np.ndarray = field(init=False, repr=False)
     bounds: np.ndarray = field(init=False, repr=False)
     table: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, c):
         senders = tuple(self.senders)
         if len(senders) < 1:
             raise RegionError("at least one sender required")
@@ -84,7 +84,7 @@ class RegionConstants:
             raise RegionError("sender labels must be distinct")
         _check_sender_count(len(senders))
         subsets = tuple(nonempty_subsets(senders))
-        c = {frozenset(k): float(v) for k, v in dict(self.c).items()}
+        c = {frozenset(k): float(v) for k, v in dict(c).items()}
         if set(c) != set(subsets):
             raise RegionError("constants must cover every nonempty subset")
         bounds = np.array([c[s] for s in subsets])
@@ -96,20 +96,19 @@ class RegionConstants:
         incidence = (masks[:, None] >> np.arange(len(senders)) & 1) * 1.0
         table = np.zeros(2 ** len(senders))
         table[masks] = bounds
-        c = MappingProxyType(dict(zip(subsets, bounds.tolist())))
         for name, value in (("senders", senders), ("subsets", subsets),
                             ("masks", masks), ("incidence", incidence),
-                            ("bounds", bounds), ("table", table), ("c", c)):
+                            ("bounds", bounds), ("table", table)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def value(self, subset: Iterable[str]) -> float:
         """C_K, with the empty set mapped to 0 by convention."""
-        key = frozenset(subset)
-        if key and key not in self.c:
+        key = set(subset)
+        if not key <= set(self.senders):
             raise RegionError(f"unknown subset {sorted(key)}")
-        return self.c.get(key, 0.0)
+        return float(self.table[sum(1 << self.senders.index(s) for s in key)])
 
     @property
     def m(self) -> int:
@@ -171,7 +170,7 @@ def region_constants(state: MultipartyState,
     if not senders:
         raise RegionError("need at least one sender besides the reference")
     _check_sender_count(len(senders))
-    if not state.is_pure(1e-7):
+    if not state.is_pure():
         warnings.warn("input state is not pure (purity "
                       f"{state.purity():.6f}); the inner bound assumes a "
                       "pure global state", stacklevel=2)

@@ -77,9 +77,6 @@ def _copy_dims(dims: Sequence[int], n: int,
 class TypicalProjection:
     """Projector onto the delta-typical subspace of an n-copy block."""
 
-    sender: str
-    n: int
-    delta: float
     projector: np.ndarray  # acts on the grouped sender block
     retained_probability: float
     typical_dim: int
@@ -129,8 +126,7 @@ def typical_projection(state: MultipartyState, sender: str, n: int,
         warnings.warn(f"typical projection retains only {retained:.3f} "
                       f"of the state (delta too tight at n = {n})",
                       stacklevel=2)
-    return TypicalProjection(sender, n, float(delta), projector,
-                             float(retained), typical_dim)
+    return TypicalProjection(projector, float(retained), typical_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +144,6 @@ class CurvePoint:
 
 @dataclass(frozen=True, eq=False)
 class DecouplingCurve:
-    state: MultipartyState
-    sender: str
-    reference: str
-    copies: int
-    seed: int
-    delta: float | None
     retained_probability: float | None
     notes: tuple[str, ...]
     points: tuple[CurvePoint, ...]
@@ -274,7 +264,7 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     notes: list[str] = []
     splits: list[tuple[float, int]] = []
     for q in grid:
-        if not -1e-12 <= q <= q_max + 1e-12:  # also rejects NaN
+        if not -INPUT_TOL <= q <= q_max + INPUT_TOL:  # also rejects NaN
             raise SimError(f"grid value {q} outside [0, {q_max:g}]")
         exact = n * q
         nq = int(math.floor(exact + INPUT_TOL))
@@ -305,10 +295,10 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     other = [i for i in range(len(state.labels)) if i != s_idx]
     rest_dims = [dims_grouped[i] for i in other] + [purifier]
     ref_pos = 2 + other.index(r_idx)  # after the (A1, A2) split axes
-    retained = delta = None
+    retained = None
     if typical_delta is not None:
         proj = typical_projection(state, sender, n, typical_delta)
-        retained, delta = proj.retained_probability, proj.delta
+        retained = proj.retained_probability
         vec = (proj.projector @ vec.reshape(block, rest)).reshape(-1)
         vec = vec / np.linalg.norm(vec)
     # the draw acts on the sender block alone: one reference marginal,
@@ -353,5 +343,4 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     points = tuple(CurvePoint(q, nq, trials, float(m), float(e), float(f))
                    for (q, nq), m, e, f in zip(splits, mean_d, stderr,
                                                mean_f))
-    return DecouplingCurve(state, sender, reference, n, int(seed), delta,
-                           retained, tuple(notes), points)
+    return DecouplingCurve(retained, tuple(notes), points)

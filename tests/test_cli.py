@@ -109,6 +109,27 @@ def test_hrep_parse_names_a_non_numeric_line():
                                                   "end"]))
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["* senders: A1"], "no begin/size line found"),
+    (["begin", " 1 2 real", "end"], "expected 1 rows of 2 entries"),
+    (["* senders: A1 A2", "begin", " 1 2 real", " -0.5 1", "end"],
+     "2 sender names for 1 columns"),
+    (["begin", " 1 2 real", " -0.5 2", "end"],
+     r"non-indicator row \[-0.5, 2.0\]"),
+    (["begin", " 1 2 real", " -0.5 0", "end"], "empty-subset row"),
+], ids=["no-block", "row-count", "sender-count", "non-indicator", "empty"])
+def test_hrep_parse_refusals(lines, message):
+    with pytest.raises(qr.RegionError, match=f"^{message}$"):
+        parse_h_representation("\n".join(lines))
+
+
+def test_hrep_parse_names_unnamed_senders_q1_to_qm():
+    rc = parse_h_representation("\n".join(
+        ["begin", " 3 3 real", " -1 1 0", " -0.5 0 1", " -1.5 1 1", "end"]))
+    assert rc.senders == ("Q1", "Q2") and rc.reference == "R"
+    assert rc.value({"Q2"}) == 0.5 and rc.value({"Q1", "Q2"}) == 1.5
+
+
 def test_region_command_report(tmp_path, ghz_spec_file):
     out = tmp_path / "report.json"
     code = run_command(["region", "--state", str(ghz_spec_file),
@@ -493,7 +514,10 @@ def test_simulate_rejects_nan_grid(tmp_path, capsys, ghz_spec_file):
     (["--copies", "0"], "need n >= 1 copies"),
     (["--copies", "-1"], "need n >= 1 copies"),
     (["--copies", "2", "--delta", "nan"], "delta must be finite"),
-], ids=["zero-copies", "negative-copies", "nan-delta"])
+    (["--copies", "2", "--trials", "0"], "need at least one trial"),
+    (["--copies", "5"], "n-copy state exceeds the dimension cap"),
+], ids=["zero-copies", "negative-copies", "nan-delta", "zero-trials",
+        "copies-past-cap"])
 def test_simulate_rejects_bad_copies_and_delta(tmp_path, capsys,
                                                 ghz_spec_file, flags,
                                                 message):
@@ -502,6 +526,19 @@ def test_simulate_rejects_bad_copies_and_delta(tmp_path, capsys,
                         "--out", str(out), "--grid", "0",
                         "--trials", "2"] + flags) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_an_empty_typical_subspace(tmp_path, capsys):
+    spec = tmp_path / "r2.spec"
+    # a marginal with two unequal eigenvalues: no string is 0-typical
+    spec.write_text("{family: random_pure, labels: [A, R], dims: [2, 2], "
+                    "seed: 1, reference: R}\n")
+    out = tmp_path / "c.csv"
+    assert run_command(["simulate", "--state", str(spec), "--out", str(out),
+                        "--grid", "0", "--copies", "1", "--delta", "0"]) == 2
+    assert capsys.readouterr().err \
+        == "error: typical subspace is empty; increase delta or n\n"
     assert not out.exists()
 
 

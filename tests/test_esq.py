@@ -203,7 +203,7 @@ def test_outer_bound_constants_examples():
     marg = qr.reduced_state(g, {"A1", "A2"})
     est = qr.esq_upper_bound(marg, [{"A1"}, {"A2"}], SMALL)
     outer = qr.outer_bound_constants(rc, {frozenset({"A1", "A2"}): est})
-    for subset, val in outer.c.items():
+    for subset, val in zip(outer.subsets, outer.bounds):
         assert val <= rc.value(subset) + 1e-12
         assert abs(val - rc.value(subset)) <= 1e-6  # ghz outer = inner
 
@@ -586,6 +586,19 @@ def test_budget_stores_numpy_integers_as_int():
     assert budget == EsqBudget((1, 2), 2, 1, 3)
     assert all(type(v) is int for v in (*budget.d_e_values, budget.restarts,
                                         budget.iterations, budget.seed))
+
+
+def test_budget_sweep_is_stored_sorted_and_counted_once():
+    assert EsqBudget((3, 1, 3)).d_e_values == (1, 3)
+    # five copies of d_E = 2 are one sweep entry: 512 x 8 passes, not
+    # five times that past the cap
+    repeated = EsqBudget((2, 2, 2, 2, 2), restarts=512, iterations=8)
+    assert repeated.d_e_values == (2,)
+    marg, parts = _panel_marginal(5), [{"A1"}, {"A2"}]
+    est = qr.esq_upper_bound(marg, parts, repeated)
+    once = qr.esq_upper_bound(marg, parts,
+                              EsqBudget((2,), restarts=512, iterations=8))
+    assert est.value.hex() == once.value.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,27 @@ def test_region_constants_ghz():
 
 def test_region_constants_product_and_spectator():
     rc = qr.region_constants(product_state(), "R")
-    assert all(abs(v) <= 1e-9 for v in rc.c.values())
+    assert all(abs(v) <= 1e-9 for v in rc.bounds)
 
     rc2 = qr.region_constants(bell_with_spectator(), "R")
     assert rc2.value({"A1"}) == pytest.approx(1.0, abs=1e-8)
     assert rc2.value({"A2"}) == pytest.approx(0.0, abs=1e-8)
     assert rc2.value({"A1", "A2"}) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_region_constants_of_the_largest_w_state_match_the_exact_formula():
+    # every k-qubit marginal of an N-qubit W state has spectrum
+    # {k/N, 1 - k/N}; 11 qubit senders and a qubit reference fill
+    # qstate.MAX_TOTAL_DIM
+    senders = tuple(f"A{i}" for i in range(1, 12))
+    spec = StateSpec("w", senders + ("R",), (2,) * 12, "R")
+    rc = qr.region_constants(qr.build_state(spec), "R")
+    h = qr.binary_entropy
+    sizes = rc.incidence.sum(axis=1).astype(int)
+    exact = [0.5 * (k * h(1 / 12) + h(1 / 12) - h((k + 1) / 12))
+             for k in sizes]
+    assert rc.m == 11 and len(rc.bounds) == 2047
+    assert np.abs(rc.bounds - exact).max() <= 1e-12
 
 
 def test_region_constants_warns_on_mixed_input():

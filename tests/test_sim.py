@@ -207,6 +207,18 @@ def test_decoupling_grid_notes_and_errors():
         qr.decoupling_curve(trit, "A", "R", 1, [1.0], trials=2, seed=1)
 
 
+def test_grid_ends_take_the_input_tolerance():
+    bell = bell_state()
+    # within statespec.INPUT_TOL of 0 and of the full rate, on either side
+    grid = [-5e-10, 5e-10, 1 - 5e-10, 1 + 5e-10]
+    curve = qr.decoupling_curve(bell, "A", "R", 1, grid, trials=2, seed=1)
+    assert [p.sent_qubits for p in curve.points] == [0, 0, 1, 1]
+    assert curve.notes == ()
+    for q in (1.5, -1e-6, 1 + 1e-6, math.nan):
+        with pytest.raises(SimError, match="outside"):
+            qr.decoupling_curve(bell, "A", "R", 1, [q], trials=2, seed=1)
+
+
 def test_decoupling_three_label_state():
     # classically correlated sender/reference pair inside a GHZ state:
     # at Q = 0 the joint-vs-product distance is 1/2 for any unitary
@@ -474,7 +486,7 @@ def _assert_matches_reference(state, sender, n, grid, typical_delta=None):
 
 def test_mixed_decoupling_matches_operator_reference():
     mix = random_mixture_state(np.random.default_rng(0), ("A", "R"), (2, 2))
-    assert not mix.is_pure(1e-6)
+    assert mix.purity() < 1 - 1e-6
     for n in (1, 2, 3):
         _assert_matches_reference(mix, "A", n, [k / n for k in range(n + 1)])
     _assert_matches_reference(mix, "A", 3, [0.0, 1 / 3, 1.0],

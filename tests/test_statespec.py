@@ -268,6 +268,102 @@ def test_spec_rejects_bool_and_non_finite(tmp_path, capsys, field, text):
     assert f"error: {field}" in capsys.readouterr().err
 
 
+_PRODUCT = "family: product, labels: [A, R], dims: [2, 2], reference: R"
+_BELL = "family: bell, labels: [A1, A2, R], dims: [2, 2, 2], reference: R"
+_MIX = "family: mixture, labels: [X1, X2], dims: [2, 2], reference: X2"
+
+
+#: (field, spec text, message) of each refusal at the spec boundary
+_REFUSALS = {
+    "no-labels": ("labels", "{family: ghz, labels: [], dims: [], "
+                            "reference: R}", "at least one label required"),
+    "dims-count": ("dims", "{family: ghz, labels: [A1, A2, R], "
+                           "dims: [2, 2], reference: R}",
+                   "2 dims for 3 labels"),
+    "basis-missing": ("basis", f"{{{_PRODUCT}}}",
+                      "product family requires a basis string"),
+    "basis-short": ("basis", f"{{{_PRODUCT}, basis: '0'}}",
+                    "one basis index per label required"),
+    "basis-range": ("basis", f"{{{_PRODUCT}, basis: '02'}}",
+                    "index 2 out of range for R (dim 2)"),
+    "ghz-mixed-dims": ("dims", "{family: ghz, labels: [A1, A2, R], "
+                               "dims: [2, 3, 2], reference: R}",
+                       "ghz requires ≥ 2 labels of one common "
+                       "dimension ≥ 2"),
+    "w-qutrit": ("dims", "{family: w, labels: [A1, A2, R], "
+                         "dims: [2, 3, 2], reference: R}",
+                 "w family requires qubit labels"),
+    "pair-missing": ("pair", f"{{{_BELL}}}",
+                     "bell family requires a pair of labels"),
+    "pair-repeated": ("pair", f"{{{_BELL}, pair: [A1, A1]}}",
+                      "pair must name two distinct labels"),
+    "pair-dims": ("pair", "{family: bell, labels: [A1, A2, R], "
+                          "dims: [2, 4, 2], reference: R, pair: [A1, A2]}",
+                  "pair labels need equal dimension ≥ 2"),
+    "pair-malformed": ("pair", f"{{{_BELL}, pair: [A1]}}",
+                       "must be a list of two labels"),
+    "no-branches": ("branches", f"{{{_MIX}, branches: []}}",
+                    "mixture requires branches"),
+    "negative-weight": ("weights", f"{{{_MIX}, branches: ["
+                                   "{weight: 1.5, kets: [[1, 0], [1, 0]]}, "
+                                   "{weight: -0.5, kets: [[0, 1], [0, 1]]}]}",
+                        "branch 1 weight negative"),
+    "ket-count": ("branches", f"{{{_MIX}, branches: "
+                              "[{weight: 1, kets: [[1, 0]]}]}",
+                  "branch 0: one ket per label"),
+    "ket-length": ("branches", f"{{{_MIX}, branches: "
+                               "[{weight: 1, kets: [[1, 0, 0], [1, 0]]}]}",
+                   "branch 0: ket length 3 ≠ dim 2 of X1"),
+    "amplitude-text": ("branches[0].kets", f"{{{_MIX}, branches: "
+                       "[{weight: 1, kets: [[a, 0], [1, 0]]}]}",
+                       "amplitude must be a number or [re, im] pair, "
+                       "got 'a'"),
+    "weight-bool": ("branches[0].weight", f"{{{_MIX}, branches: "
+                    "[{weight: true, kets: [[1, 0], [1, 0]]}]}",
+                    "weight must be a number, got True"),
+    "weight-text": ("branches[0].weight", f"{{{_MIX}, branches: "
+                    "[{weight: abc, kets: [[1, 0], [1, 0]]}]}",
+                    "weight must be a number, got 'abc'"),
+    "ket-scalar": ("branches[0].kets", f"{{{_MIX}, branches: "
+                   "[{weight: 1, kets: [1, [1, 0]]}]}",
+                   "ket must be a list of amplitudes"),
+    "branches-scalar": ("branches", f"{{{_MIX}, branches: 5}}",
+                        "must be a list"),
+    "branch-no-kets": ("branches", f"{{{_MIX}, branches: [{{weight: 1}}]}}",
+                       "branch 0 needs weight and kets"),
+    "kets-scalar": ("branches", f"{{{_MIX}, branches: "
+                                "[{weight: 1, kets: 5}]}",
+                    "branch 0: kets must be a list"),
+    "document-list": ("document", "[1, 2]", "top level must be a mapping"),
+    "labels-scalar": ("labels", "{family: ghz, labels: A1, dims: [2], "
+                                "reference: A1}", "must be a list"),
+    "dims-scalar": ("dims", "{family: ghz, labels: [A1, A2, R], dims: 2, "
+                            "reference: R}", "must be a list"),
+    "basis-bool": ("basis", f"{{{_PRODUCT}, basis: true}}",
+                   "must be a digit string or int list"),
+    "basis-letters": ("basis", f"{{{_PRODUCT}, basis: ab}}",
+                      "basis string must be digits"),
+    "basis-float": ("basis", f"{{{_PRODUCT}, basis: 1.5}}",
+                    "must be a digit string or int list"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_spec_boundary_refusals_name_their_field(tmp_path, capsys, case):
+    field, text, message = _REFUSALS[case]
+    with pytest.raises(SpecError) as err:
+        parse_state_spec(text)
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: {message}"
+    path = tmp_path / "bad.spec"
+    path.write_text(text + "\n")
+    out = tmp_path / "r.json"
+    assert run_command(["region", "--state", str(path),
+                        "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {field}: {message}\n"
+    assert not out.exists()
+
+
 # libyaml loading: the same specs as the pure-Python loader, and that
 # loader's diagnostics for a document neither can parse.
 
