@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs["simulate"]
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--grid", type=number_list, required=True,
-                   help="comma-separated qubit rates per copy")
+                   help="qubit rates per copy, each in [0, log2 of the "
+                        "sender dimension]")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--sender", default=None)
     p.add_argument("--delta", type=float, default=None,

@@ -7,9 +7,8 @@ and reduced states read from the purification, von Neumann entropies
 and multiparty information.  The kernels take stacks, so a batch of
 states is one call: ``marginal_factor`` and ``vector_marginal``,
 ``entropy_of_op``, ``psd_sqrt``, ``fidelity_ops`` and ``trace_norm``.
-The decoupling simulator reads its fidelities from ``marginal_factor``,
-``psd_sqrt`` and one Gram eigensolve, not from ``fidelity_ops``.  All
-entropies are in bits.
+Both ``fidelity_ops`` and the decoupling simulator's Gram eigensolve end
+in ``fidelity_of_spectrum``.  All entropies are in bits.
 """
 from __future__ import annotations
 
@@ -106,15 +105,22 @@ def psd_sqrt(op: np.ndarray) -> np.ndarray:
         @ vec.conj().swapaxes(-1, -2)
 
 
-def fidelity_ops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared-convention fidelities (Tr sqrt(sqrt(b) a sqrt(b)))^2 of
-    (..., d, d) stacks of density operators, shape (...)."""
-    rb = psd_sqrt(b)
-    ev = np.clip(np.linalg.eigvalsh(hermitian_part(rb @ a @ rb)), 0.0, None)
+def fidelity_of_spectrum(ev: np.ndarray) -> np.ndarray:
+    """(sum sqrt(lambda))^2, clipped to [0, 1], of (..., k) eigenvalue rows,
+    each clipped at 0 and cut below 1e-12 times its row's largest."""
+    ev = np.clip(ev, 0.0, None)
     # square-rooting amplifies eigensolver noise near zero
     ev[ev < ev.max(-1, keepdims=True) * 1e-12] = 0.0
     s = np.sqrt(ev).sum(-1)
     return np.clip(s * s, 0.0, 1.0)
+
+
+def fidelity_ops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared-convention fidelities (Tr sqrt(sqrt(b) a sqrt(b)))^2 of
+    (..., d, d) stacks of density operators, shape (...)."""
+    rb = psd_sqrt(b)
+    return fidelity_of_spectrum(
+        np.linalg.eigvalsh(hermitian_part(rb @ a @ rb)))
 
 
 def trace_norm(m: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qstate
-from .qstate import MultipartyState
+from .qstate import MAX_TOTAL_DIM, MultipartyState
 from .statespec import INPUT_TOL
 
 MAX_HAAR_DIM = 256
@@ -64,11 +64,11 @@ def haar_unitary(d: int, seed) -> np.ndarray:
 def _copy_dims(dims: Sequence[int], n: int,
                what: str = "state") -> tuple[int, ...]:
     """Dimensions of n grouped copies of each block, once n >= 1 and the
-    n-copy product fits the dimension cap (compared in logs: the integer
-    power itself is slow for huge n)."""
+    n-copy product, at least 2**n, fits the dimension cap (compared in
+    logs: the integer power itself is slow for huge n)."""
     if n < 1:
         raise SimError("need n >= 1 copies")
-    if n * math.log2(math.prod(dims)) > math.log2(qstate.MAX_TOTAL_DIM):
+    if n * math.log2(max(math.prod(dims), 2)) > math.log2(MAX_TOTAL_DIM):
         raise SimError(f"n-copy {what} exceeds the dimension cap")
     return tuple(d ** n for d in dims)
 
@@ -135,7 +135,7 @@ def typical_projection(state: MultipartyState, sender: str, n: int,
 @dataclass(frozen=True)
 class CurvePoint:
     q: float                 # requested rate, qubits per copy
-    sent_qubits: int         # effective whole-qubit split n*Q
+    sent_qubits: int         # whole qubits sent, floor(n (Q + INPUT_TOL))
     trials: int
     mean_dist: float
     stderr_dist: float
@@ -202,8 +202,7 @@ def _split_errors(vecs: np.ndarray, dims: Sequence[int], ref_pos: int,
     fidelity is (sum sqrt(lambda))^2 over the squared singular values of
     sqrt(P) M: the spectrum of the k x k matrix M^dagger P M when M has
     k <= D columns, else the nonzero spectrum of the D x D matrix
-    sqrt(P) J sqrt(P).  Eigenvalues below 1e-12 times the row's largest
-    are dropped, the cut ``fidelity_ops`` makes.
+    sqrt(P) J sqrt(P), cut and summed by ``qstate.fidelity_of_spectrum``.
     """
     d_a2, d_ref = dims[1], dims[ref_pos]
     m = qstate.marginal_factor(vecs, dims, [1, ref_pos])
@@ -216,18 +215,15 @@ def _split_errors(vecs: np.ndarray, dims: Sequence[int], ref_pos: int,
     else:
         gram = _apply_product(m, qstate.psd_sqrt(sigma_a2), root_r)
         gram = gram @ gram.conj().swapaxes(-1, -2)
-    ev = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+    fid = qstate.fidelity_of_spectrum(np.linalg.eigvalsh(gram))
     del gram
-    # square-rooting amplifies eigensolver noise near zero
-    ev[ev < ev.max(-1, keepdims=True) * 1e-12] = 0.0
-    fid = np.sqrt(ev).sum(-1)
     joint = m @ m.conj().swapaxes(-1, -2)
     del m, m_a  # J and the marginals are all the distance needs
     # J - P in place, one A2 row at a time, so no product operator forms
     j5 = joint.reshape(rows, d_a2, d_ref, d_a2, d_ref)
     for i in range(d_a2):
         j5[:, i] -= sigma_a2[:, i, None, :, None] * sigma_r[:, None, :]
-    return qstate.trace_norm(joint) / 2.0, np.clip(fid * fid, 0.0, 1.0)
+    return qstate.trace_norm(joint) / 2.0, fid
 
 
 def decoupling_curve(state: MultipartyState, sender: str, reference: str,
@@ -241,8 +237,9 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     2^(nQ)-dimensional factor, and record the two decoupling errors
     (``_split_errors``) of the kept-remainder/reference joint state
     against the product of its marginals; the purifier is traced out with the
-    rest.  Rates are quantized to whole qubits (fractional nQ floored,
-    with a note).  Trial t uses the seed pair (seed, t).
+    rest.  A rate Q is qubits per copy, in [0, log2 d_sender]; it sends
+    nq = floor(n (Q + INPUT_TOL)) qubits, noted when nq/n is off Q by more
+    than INPUT_TOL.  Trial t uses the seed pair (seed, t).
 
     Points that send nothing or the whole block do not depend on the
     unitary (it acts on the kept part alone, or on nothing kept), so
@@ -259,26 +256,22 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     if trials > MAX_TRIALS:
         raise SimError(f"trials {trials} exceeds the cap {MAX_TRIALS}")
     dims_grouped = _copy_dims(state.dims, n)
-    d_s = state.dims[s_idx]
-    q_max = n * math.log2(d_s)
+    block = dims_grouped[s_idx]
+    q_max = math.log2(state.dims[s_idx])
     notes: list[str] = []
     splits: list[tuple[float, int]] = []
     for q in grid:
         if not -INPUT_TOL <= q <= q_max + INPUT_TOL:  # also rejects NaN
             raise SimError(f"grid value {q} outside [0, {q_max:g}]")
-        exact = n * q
-        nq = int(math.floor(exact + INPUT_TOL))
-        if abs(exact - nq) > INPUT_TOL:
-            notes.append(f"Q={q:g}: fractional split n*Q={exact:g} "
+        nq = math.floor(n * (q + INPUT_TOL))
+        if abs(q - nq / n) > INPUT_TOL:
+            notes.append(f"Q={q:g}: fractional split n*Q={n * q:g} "
                          f"floored to {nq} qubits")
-        splits.append((float(q), nq))
-
-    block = dims_grouped[s_idx]
-    for q, nq in splits:
         if block % (2 ** nq) != 0:
             raise SimError(f"cannot split a block of dimension {block} "
                            f"into {2 ** nq} sent dimensions: non-integer "
                            f"qubit split")
+        splits.append((float(q), nq))
     if block > MAX_HAAR_DIM:
         raise SimError(f"n-copy sender block of dimension {block} exceeds "
                        f"the Haar cap {MAX_HAAR_DIM}")

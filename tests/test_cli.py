@@ -516,8 +516,9 @@ def test_simulate_rejects_nan_grid(tmp_path, capsys, ghz_spec_file):
     (["--copies", "2", "--delta", "nan"], "delta must be finite"),
     (["--copies", "2", "--trials", "0"], "need at least one trial"),
     (["--copies", "5"], "n-copy state exceeds the dimension cap"),
+    (["--copies", "2", "--grid", "2"], "outside [0, 1]"),
 ], ids=["zero-copies", "negative-copies", "nan-delta", "zero-trials",
-        "copies-past-cap"])
+        "copies-past-cap", "rate-past-one-copy"])
 def test_simulate_rejects_bad_copies_and_delta(tmp_path, capsys,
                                                 ghz_spec_file, flags,
                                                 message):

@@ -199,6 +199,12 @@ def test_decoupling_grid_notes_and_errors():
     assert curve.points[0].sent_qubits == 0
     assert any("floored" in n for n in curve.notes)
 
+    # a rate is per copy: 4 copies at Q = 0.3 send floor(1.2) qubits
+    curve = qr.decoupling_curve(bell, "A", "R", 4, [0.3], trials=2, seed=1)
+    assert curve.points[0].sent_qubits == 1
+    assert curve.notes == ("Q=0.3: fractional split n*Q=1.2 floored to 1 "
+                           "qubits",)
+
     with pytest.raises(SimError):
         qr.decoupling_curve(bell, "A", "R", 1, [1.5], trials=2, seed=1)
 
@@ -207,16 +213,18 @@ def test_decoupling_grid_notes_and_errors():
         qr.decoupling_curve(trit, "A", "R", 1, [1.0], trials=2, seed=1)
 
 
-def test_grid_ends_take_the_input_tolerance():
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_grid_ends_take_the_input_tolerance(n):
     bell = bell_state()
-    # within statespec.INPUT_TOL of 0 and of the full rate, on either side
+    # within statespec.INPUT_TOL of 0 and of the full rate, on either side;
+    # the tolerance is in rate units, whatever the copy count
     grid = [-5e-10, 5e-10, 1 - 5e-10, 1 + 5e-10]
-    curve = qr.decoupling_curve(bell, "A", "R", 1, grid, trials=2, seed=1)
-    assert [p.sent_qubits for p in curve.points] == [0, 0, 1, 1]
+    curve = qr.decoupling_curve(bell, "A", "R", n, grid, trials=2, seed=1)
+    assert [p.sent_qubits for p in curve.points] == [0, 0, n, n]
     assert curve.notes == ()
     for q in (1.5, -1e-6, 1 + 1e-6, math.nan):
         with pytest.raises(SimError, match="outside"):
-            qr.decoupling_curve(bell, "A", "R", 1, [q], trials=2, seed=1)
+            qr.decoupling_curve(bell, "A", "R", n, [q], trials=2, seed=1)
 
 
 def test_decoupling_three_label_state():
@@ -278,6 +286,23 @@ def test_decoupling_checks_splits_before_building(monkeypatch):
     with pytest.raises(SimError, match="Haar cap"):
         qr.decoupling_curve(wide, "A", "R", 9, [0.0], trials=2, seed=1,
                             typical_delta=0.5)
+    # a rate is per copy, so 4 Bell copies send at most 1 qubit each
+    with pytest.raises(SimError, match=r"grid value 2 outside \[0, 1\]"):
+        qr.decoupling_curve(bell_state(), "A", "R", 4, [2], trials=2, seed=1,
+                            typical_delta=0.5)
+
+
+def test_copy_count_is_bounded_on_a_trivial_state():
+    # every dimension 1: each copy still counts as a qubit against the cap,
+    # so a huge n is refused at once
+    trivial = qr.random_pure_state(("A", "R"), (1, 1), 0)
+    curve = qr.decoupling_curve(trivial, "A", "R", 12, [0.0], trials=2,
+                                seed=1)
+    assert curve.points[0].sent_qubits == 0
+    for n in (13, 10 ** 18):
+        with pytest.raises(SimError, match="exceeds the dimension cap"):
+            qr.decoupling_curve(trivial, "A", "R", n, [0.0], trials=2,
+                                seed=1)
 
 
 def test_decoupling_checks_joint_cap_before_building(monkeypatch):
