@@ -315,13 +315,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the ``number_list`` options, whose value may start with a minus sign
+_NUMBER_LIST_FLAGS = ("--costs", "--point", "--grid")
+
+
+def _join_negative_lists(argv) -> list[str]:
+    """``argv`` with each ``_NUMBER_LIST_FLAGS`` option joined to a next
+    token that starts with a single "-" (``--grid -1,0`` becomes
+    ``--grid=-1,0``), which argparse would read as a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_LIST_FLAGS and arg.startswith("-") \
+                and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run_command(argv) -> int:
     """The one pipeline: parse ``argv``, load the spec, compute the
     command's output, write it to --out (a report behind its header),
     then print the command's console lines; returns the exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_lists(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

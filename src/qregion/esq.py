@@ -45,6 +45,10 @@ MAX_SEARCH_PASSES = 16384
 #: gradient steps per descent pass
 STEPS_PER_PASS = 8
 
+#: scale of the complex Gaussian that moves restart 0 off the best
+#: isometry so far at a d_E above the purifier rank (``_sweep_starts``)
+CONTINUE_NUDGE = 1e-2
+
 
 class EsqError(ValueError):
     """Invalid extension-search arguments."""
@@ -293,7 +297,13 @@ def conditional_info_with_extension(state: MultipartyState,
                                     ch: ExtensionChannel) -> float:
     """Raw (not halved) conditional multiparty information I(parts|E)
     after applying ``ch`` to the canonical purifier of ``_covered``."""
-    state, groups = _covered(state, parts)
+    return _covered_info(*_covered(state, parts), ch)
+
+
+def _covered_info(state: MultipartyState, groups: Sequence[Sequence[int]],
+                  ch: ExtensionChannel) -> float:
+    """``conditional_info_with_extension`` of a state that ``_covered``
+    already returned, with its ``groups``."""
     psi, r = qstate.purification_vector(state)
     width = ch.d_e * ch.d_g
     # no wider than the purifier (the trivial channel): no new amplitudes
@@ -370,6 +380,37 @@ def _coherent_info_floor(state: MultipartyState,
     return max(0.0, *(h[:-1] - h[-1]).tolist())
 
 
+def _sweep_starts(r: int, d_e: int, budget: EsqBudget, winner) -> np.ndarray:
+    """The (restarts, d_e*d_e, r) start isometries of one sweep entry
+    (d_G = d_E) for a purifier of rank r.
+
+    Restart i >= 1 is the polar factor of a complex Gaussian whose real
+    and imaginary parts come from (seed, i).  Restart 0 is the
+    purifier-eigenbasis dephasing, except at d_E > r once a descent
+    leads: ``winner``'s (d_w, d_w, V) isometry, its E and G levels kept
+    and the new ones left empty (the same conditional information),
+    plus ``CONTINUE_NUDGE`` times a complex Gaussian from (seed, 0),
+    retracted by its polar factor.  The dephasing keeps E and G block
+    diagonal, which no gradient step leaves, so above r it could only
+    repeat the rank-r search; the nudge lets the descent continue the
+    best one.
+    """
+    def gaussian(i: int) -> np.ndarray:
+        g = np.random.default_rng([budget.seed, i]).standard_normal(
+            (2, d_e * d_e, r))
+        return g[0] + 1j * g[1]
+    if d_e > r and winner is not None:
+        d_w, _, v = winner
+        grown = np.zeros((d_e, d_e, r), dtype=complex)
+        grown[:d_w, :d_w] = v.reshape(d_w, d_w, r)
+        first = _polar_isometry(grown.reshape(d_e * d_e, r)
+                                + CONTINUE_NUDGE * gaussian(0))
+    else:
+        first = _embedding_isometry(r, d_e, d_e)
+    return np.stack([first] + [_polar_isometry(gaussian(i))
+                               for i in range(1, budget.restarts)])
+
+
 def esq_upper_bound(state: MultipartyState,
                     parts: Sequence[Iterable[str]],
                     budget: EsqBudget = EsqBudget()) -> EsqEstimate:
@@ -377,15 +418,19 @@ def esq_upper_bound(state: MultipartyState,
 
     Candidates: the trivial extension (baseline), the classical flag
     when the state carries mixture provenance, and random-restart
-    optimized isometries over the d_E sweep (restart 0 of each sweep
-    entry starts from the purifier-eigenbasis dephasing).  The restarts
-    of each sweep entry descend as one stack (``_riemannian_descent``);
-    the first smallest wins, and only it becomes an
-    orthonormality-checked ``ExtensionChannel``.  The baseline, the
-    flag and that channel are scored on the covered state, bit for bit as
-    ``conditional_info_with_extension`` does, for the reported value:
-    half the smallest conditional information found, clamped to
-    [0, baseline]; deterministic given the budget seed.
+    optimized isometries over the d_E sweep (``_sweep_starts``).
+    Restart 0 of a sweep entry starts from the purifier-eigenbasis
+    dephasing, except at d_E above the purifier rank r once an earlier
+    entry's descent leads: then it continues that isometry, so only a
+    marginal with r below the sweep's top d_E can differ from an
+    all-dephasing sweep.  The restarts of each sweep entry descend as
+    one stack (``_riemannian_descent``); the first smallest wins, and
+    only it becomes an orthonormality-checked ``ExtensionChannel``.  The
+    baseline, the flag and that channel are scored on the covered state
+    by ``_covered_info``, as ``conditional_info_with_extension`` scores
+    them, for the reported value: half the smallest conditional
+    information found, clamped to [0, baseline]; deterministic given the
+    budget seed.
 
     The search stops once the best conditional information is at most
     twice ``lower + FEAS_TOL``, ``lower`` the ``_coherent_info_floor``
@@ -406,16 +451,12 @@ def esq_upper_bound(state: MultipartyState,
     psi, r = qstate.purification_vector(state)
     lower = _coherent_info_floor(state, groups)
     target = 2.0 * (lower + region.FEAS_TOL)  # on the raw, unhalved value
-
-    def score(ch: ExtensionChannel) -> float:
-        return float(_cond_info_extended(psi, state.dims, groups,
-                                         ch.isometry[None], ch.d_e, ch.d_g)[0])
     best_ch = trivial_channel(r)
-    baseline_raw = best_raw = score(best_ch)
+    baseline_raw = best_raw = _covered_info(state, groups, best_ch)
     if state.provenance is not None and best_raw > target:
         if _has_room(state.dim, len(state.provenance)):
             flag = classical_flag_channel(state)
-            if (raw := score(flag)) < best_raw:
+            if (raw := _covered_info(state, groups, flag)) < best_raw:
                 best_ch, best_raw = flag, raw
 
     winner = None  # (d_e, d_g, isometry) of the best descent, if any leads
@@ -424,15 +465,11 @@ def esq_upper_bound(state: MultipartyState,
             break  # no extension can lower the value by more than FEAS_TOL
         if d_e * d_e < r or budget.restarts < 1:
             continue  # no isometry from the purifier exists, or no restarts
-        # restart i draws its real and imaginary parts from (seed, i)
-        starts = [_embedding_isometry(r, d_e, d_e)] + [
-            _polar_isometry(g[0] + 1j * g[1]) for g in (
-                np.random.default_rng([budget.seed, i]).standard_normal(
-                    (2, d_e * d_e, r)) for i in range(1, budget.restarts))]
         vs, raws = _riemannian_descent(
             lambda isos, grad: _cond_info_extended(
                 psi, state.dims, groups, isos, d_e, d_e, grad),
-            np.stack(starts), STEPS_PER_PASS * budget.iterations, target)
+            _sweep_starts(r, d_e, budget, winner),
+            STEPS_PER_PASS * budget.iterations, target)
         i = int(np.argmin(raws))
         if raws[i] < best_raw:
             best_raw, winner = float(raws[i]), (d_e, d_e, vs[i])
@@ -440,7 +477,7 @@ def esq_upper_bound(state: MultipartyState,
     if winner is not None:
         best_ch = ExtensionChannel(*winner, "parameterized")
         # the reported value comes from the checked channel's own copy
-        best_raw = score(best_ch)
+        best_raw = _covered_info(state, groups, best_ch)
     baseline = max(0.0, 0.5 * baseline_raw)
     value = min(baseline, max(0.0, 0.5 * best_raw))
     return EsqEstimate(value, lower, baseline, best_ch)

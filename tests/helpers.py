@@ -400,10 +400,16 @@ def coherent_info_floor_reference(state, parts):
     return max([0.0] + [v - h_all for v in h.values()])
 
 
-def esq_search_reference(state, parts, budget=esq.EsqBudget()):
+def esq_search_reference(state, parts, budget=esq.EsqBudget(),
+                         continue_best=True):
     """(value, winning channel kind, its d_E) of the extension search
     with no stop: the baseline, the flag and every sweep entry, each
-    descent a no-target ``_riemannian_descent`` call."""
+    descent a no-target ``_riemannian_descent`` call.  With
+    ``continue_best``, restart 0 at a d_E above the purifier rank, once
+    a descent leads, starts from the leading isometry copied level by
+    level into the larger E and G, nudged by ``CONTINUE_NUDGE`` times a
+    complex Gaussian from (seed, 0) and retracted; without it, from the
+    purifier-eigenbasis dephasing at every d_E (the earlier rule)."""
     groups = qstate.part_groups(state, parts)
     psi, r = qstate.purification_vector(state)
     best = esq.trivial_channel(r)
@@ -424,6 +430,15 @@ def esq_search_reference(state, parts, budget=esq.EsqBudget()):
             esq._polar_isometry(g[0] + 1j * g[1]) for g in (
                 np.random.default_rng([budget.seed, i]).standard_normal(
                     (2, d_e * d_e, r)) for i in range(1, budget.restarts))]
+        if continue_best and d_e > r and winner is not None:
+            d_w, _, v = winner
+            grown = np.zeros((d_e * d_e, r), dtype=complex)
+            for e, g in itertools.product(range(d_w), repeat=2):
+                grown[e * d_e + g] = v[e * d_w + g]
+            nudge = np.random.default_rng([budget.seed, 0]).standard_normal(
+                (2, d_e * d_e, r))
+            starts[0] = esq._polar_isometry(
+                grown + esq.CONTINUE_NUDGE * (nudge[0] + 1j * nudge[1]))
         vs, raws = esq._riemannian_descent(
             lambda isos, grad: esq._cond_info_extended(
                 psi, state.dims, groups, isos, d_e, d_e, grad),

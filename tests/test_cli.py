@@ -735,6 +735,45 @@ def test_number_lists_name_their_flag(tmp_path, capsys, ghz_spec_file,
     assert not out.exists()
 
 
+def test_a_negative_first_grid_value_is_a_value_not_a_flag(tmp_path):
+    spec = tmp_path / "bell.spec"
+    spec.write_text("{family: bell, labels: [A, R], dims: [2, 2], "
+                    "pair: [A, R], reference: R}\n")
+    csv = {}
+    for name, grid in (("spaced", ["--grid", "-5e-10,1"]),
+                       ("joined", ["--grid=-5e-10,1"])):
+        out = tmp_path / f"{name}.csv"
+        assert run_command(["simulate", "--state", str(spec), "--out",
+                            str(out), "--copies", "4", "--trials", "3"]
+                           + grid) == 0
+        csv[name] = out.read_text()
+    assert csv["spaced"] == csv["joined"]
+    assert csv["spaced"].splitlines()[1].startswith("-5e-10,")
+
+
+GHZ3_TEXT = ("{family: ghz, labels: [A1, A2, A3, R], dims: [2, 2, 2, 2], "
+             "reference: R}\n")
+
+
+@pytest.mark.parametrize("command, text, flags, message", [
+    ("greedy", GHZ_TEXT, ["--costs", "-1,2"],
+     "costs must be positive and finite"),
+    ("classify", GHZ3_TEXT, ["--point", "-0.5,1"],
+     "--point needs 3 comma-separated rates"),
+    ("simulate", GHZ_TEXT, ["--copies", "1", "--grid", "--trials", "3"],
+     "argument --grid: expected one argument"),
+], ids=["costs", "point", "grid-before-a-flag"])
+def test_negative_first_list_values_reach_their_checks(tmp_path, capsys,
+                                                        command, text, flags,
+                                                        message):
+    spec, out = tmp_path / "s.spec", tmp_path / "r.out"
+    spec.write_text(text)
+    assert run_command([command, "--state", str(spec), "--out", str(out)]
+                       + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 EIGHT_SENDERS = json.dumps({"family": "bell",
                             "labels": [f"A{i + 1}" for i in range(8)] + ["R"],
                             "dims": [2, 2] + [1] * 7, "pair": ["A1", "A2"],
