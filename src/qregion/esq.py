@@ -5,8 +5,8 @@ conditional multiparty information I(X1;...;Xm|E) over all extensions
 of the state to an auxiliary system E.  Every extension arises from a
 channel acting on a purifying system, so the search space here is the
 set of Stinespring isometries applied to the canonical minimal
-purifier, searched by Riemannian gradient descent with a polar
-retraction.  The infimum is generally unattainable numerically: the
+purifier, searched by Riemannian conjugate-gradient descent with a
+polar retraction.  The infimum is generally unattainable numerically: the
 search only ever certifies an upper bound, and the rate-point
 classification inherits the matching one-sided soundness.  Each
 estimate also carries a lower bound, the largest coherent information
@@ -126,6 +126,8 @@ def _has_room(dim: int, d: int) -> bool:
 def d_e_sweep(dim: int, d_e_max: int) -> tuple[int, ...]:
     """The d_E sweep 1..d_e_max for a marginal of dimension ``dim``, cut
     at the largest d that ``_has_room``."""
+    if d_e_max < 1:
+        raise EsqError(f"d_e_max must be >= 1, got {d_e_max}")
     values = tuple(itertools.takewhile(lambda d: _has_room(dim, d),
                                        range(1, d_e_max + 1)))
     if not values:
@@ -329,17 +331,26 @@ def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _riemannian_descent(objective, starts: np.ndarray, steps: int,
                         target: float = -math.inf) \
         -> tuple[np.ndarray, np.ndarray]:
-    """Riemannian gradient descent over isometries, all restarts at once.
+    """Riemannian conjugate-gradient descent over isometries, all
+    restarts at once.
 
     ``objective(isos, grad)`` maps a (B, rows, cols) isometry stack to B
     values, and with ``grad`` to (values, Euclidean gradients).  Each
-    step retracts V - t xi, xi the ``_tangent`` gradient, by its polar
-    factor and keeps the move where the value falls by at least
-    1e-4 t |xi|^2 (Armijo); that restart's step t, 0.3 at first, then
-    grows by 1.5, any other's halves.  A step is one stacked
-    value-and-gradient call, and no restart's value ever rises.  Zero
-    steps score the starts.  The descent returns early, after scoring
-    the starts or after any step, once some restart's value is at most
+    step retracts V + t d by its polar factor and keeps the move where
+    the value falls by at least -1e-4 t Re<xi, d> (Armijo), xi the
+    ``_tangent`` gradient at V; that restart's step t, 0.3 at first,
+    then grows by 1.5, any other's halves.  The direction d is -xi at
+    first, after a rejected step, and wherever the conjugate direction
+    does not descend (Re<xi, d> >= 0); after a kept move it is the
+    Fletcher-Reeves direction -xi' + beta P(d), beta = |xi'|^2 / |xi|^2
+    (0 when xi = 0) and P the ``_tangent`` projection at the new point,
+    which moves d to its tangent space (Absil, Mahony and Sepulchre,
+    2008, sec. 8.3).  Along -xi the step and its test are the
+    steepest-descent ones bit for bit.  A step is one stacked
+    value-and-gradient call, so ``steps`` buys the same objective calls
+    as steepest descent, and no restart's value ever rises.  Zero steps
+    score the starts.  The descent returns early, after scoring the
+    starts or after any step, once some restart's value is at most
     ``target``; until then every number is the one a run without a
     target gives.
     """
@@ -347,14 +358,29 @@ def _riemannian_descent(objective, starts: np.ndarray, steps: int,
     if steps < 1:
         return v, objective(v, False)
     f, g = objective(v, True)
-    xi, t = _tangent(v, g), np.full(len(v), 0.3)
+    xi = _tangent(v, g)
+    sq = (np.abs(xi) ** 2).sum(axis=(1, 2))  # |xi|^2
+    # p = -d and slope = Re<xi, p>, so a restart is p = xi, slope = |xi|^2
+    p, slope, t = xi, sq, np.full(len(v), 0.3)
     for _ in range(steps):
         if f.min() <= target:
             break
-        trial = _polar_isometry(v - t[:, None, None] * xi)
+        trial = _polar_isometry(v - t[:, None, None] * p)
         f_t, g_t = objective(trial, True)
-        ok = f_t <= f - 1e-4 * t * (np.abs(xi) ** 2).sum(axis=(1, 2))
-        v[ok], f[ok], xi[ok] = trial[ok], f_t[ok], _tangent(trial[ok], g_t[ok])
+        ok = f_t <= f - 1e-4 * t * slope
+        # the new gradient and the transported direction in one projection
+        xi_t, moved = _tangent(trial, np.stack((g_t, p)))
+        sq_t = (np.abs(xi_t) ** 2).sum(axis=(1, 2))
+        beta = np.divide(sq_t, sq, out=np.zeros_like(sq), where=sq > 0)
+        p_t = xi_t + beta[:, None, None] * moved
+        slope_t = (xi_t.conj() * p_t).real.sum(axis=(1, 2))
+        # a rejected step, or no descent along d: restart along -xi
+        fwd = ok & (slope_t > 0)
+        keep = ok[:, None, None]
+        v, xi = np.where(keep, trial, v), np.where(keep, xi_t, xi)
+        f, sq = np.where(ok, f_t, f), np.where(ok, sq_t, sq)
+        p = np.where(fwd[:, None, None], p_t, xi)
+        slope = np.where(fwd, slope_t, sq)
         t = np.where(ok, 1.5 * t, 0.5 * t)
     return v, f
 
@@ -377,7 +403,8 @@ def _coherent_info_floor(state: MultipartyState,
                if s >> bit & 1 for i in group]
               for s in range(1, 1 << len(groups))]
     h = qstate.entropies(state, unions)  # the last union is X_K
-    return max(0.0, *(h[:-1] - h[-1]).tolist())
+    # one part has no proper cut: its floor is 0
+    return max([0.0, *(h[:-1] - h[-1]).tolist()])
 
 
 def _sweep_starts(r: int, d_e: int, budget: EsqBudget, winner) -> np.ndarray:
@@ -424,13 +451,20 @@ def esq_upper_bound(state: MultipartyState,
     entry's descent leads: then it continues that isometry, so only a
     marginal with r below the sweep's top d_E can differ from an
     all-dephasing sweep.  The restarts of each sweep entry descend as
-    one stack (``_riemannian_descent``); the first smallest wins, and
-    only it becomes an orthonormality-checked ``ExtensionChannel``.  The
-    baseline, the flag and that channel are scored on the covered state
-    by ``_covered_info``, as ``conditional_info_with_extension`` scores
-    them, for the reported value: half the smallest conditional
-    information found, clamped to [0, baseline]; deterministic given the
-    budget seed.
+    one stack (``_riemannian_descent``) along Fletcher-Reeves conjugate
+    directions, d <- -xi' + beta P(d) after a kept move; the direction
+    restarts as -xi after a rejected step and wherever it does not
+    descend.  Each step is still one objective call, so a budget of
+    ``iterations`` passes buys ``STEPS_PER_PASS * iterations`` steps
+    per sweep entry, as under steepest descent.  The first smallest
+    wins, and only it becomes an orthonormality-checked
+    ``ExtensionChannel``.  The baseline, the flag and that channel are
+    scored on the covered state by ``_covered_info``, as
+    ``conditional_info_with_extension`` scores them, for the reported
+    value: half the smallest conditional information found, clamped to
+    [0, baseline]; deterministic given the budget seed.  One part has
+    no proper cut and no conditional information: ``lower`` is 0 and
+    the baseline meets the stop.
 
     The search stops once the best conditional information is at most
     twice ``lower + FEAS_TOL``, ``lower`` the ``_coherent_info_floor``

@@ -400,6 +400,28 @@ def coherent_info_floor_reference(state, parts):
     return max([0.0] + [v - h_all for v in h.values()])
 
 
+def steepest_descent_reference(objective, starts, steps,
+                               target=-math.inf):
+    """``esq._riemannian_descent`` with the steepest-descent direction:
+    every step retracts V - t xi and tests the fall against
+    1e-4 t |xi|^2, the rule the conjugate direction replaced."""
+    v = np.array(starts, dtype=complex)
+    if steps < 1:
+        return v, objective(v, False)
+    f, g = objective(v, True)
+    xi, t = esq._tangent(v, g), np.full(len(v), 0.3)
+    for _ in range(steps):
+        if f.min() <= target:
+            break
+        trial = esq._polar_isometry(v - t[:, None, None] * xi)
+        f_t, g_t = objective(trial, True)
+        ok = f_t <= f - 1e-4 * t * (np.abs(xi) ** 2).sum(axis=(1, 2))
+        v[ok], f[ok] = trial[ok], f_t[ok]
+        xi[ok] = esq._tangent(trial[ok], g_t[ok])
+        t = np.where(ok, 1.5 * t, 0.5 * t)
+    return v, f
+
+
 def esq_search_reference(state, parts, budget=esq.EsqBudget(),
                          continue_best=True):
     """(value, winning channel kind, its d_E) of the extension search

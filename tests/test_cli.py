@@ -609,6 +609,29 @@ def test_esq_sweep_stops_at_the_dimension_cap(tmp_path, ghz_spec_file):
     assert est["d_e_values"] == list(range(1, 17))
 
 
+def test_esq_squashes_near_separable_pairs_within_ten_seconds(tmp_path):
+    # steepest descent stalled at 0.0048664 (A1+A2) and 0.0173816 (A1+A3)
+    def too_slow(signum, frame):
+        pytest.fail("esq took more than 10 s")
+
+    spec = tmp_path / "r102.spec"
+    spec.write_text("{family: random_pure, labels: [A1, A2, A3, R], "
+                    "dims: [2, 2, 2, 4], seed: 102, reference: R}\n")
+    out = tmp_path / "esq.json"
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        code = run_command(["esq", "--state", str(spec), "--out", str(out),
+                            "--seed", "7"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    est = json.loads(out.read_text())["esq_estimates"]
+    assert est["A1+A2"]["value"] <= 1e-4
+    assert est["A1+A3"]["value"] <= 2e-3
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("esq", ["--restarts", "1001", "--iterations", "0"],
      "budget restarts 1001 exceeds the cap 1000"),
