@@ -9,7 +9,6 @@ stderr), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import sys
@@ -167,31 +166,31 @@ def _cmd_greedy(args, spec, state) -> tuple:
 def _esq_fields(state, rc, args) -> tuple[dict, RegionConstants]:
     """Report fields shared by esq and classify, and the outer bound."""
     estimates, raw = {}, {}
-    # built before any search so a bad budget fails on every state
-    base = EsqBudget(restarts=args.restarts, iterations=args.iterations,
-                     seed=args.seed)
     if args.d_e_max < 1:
         raise esq.EsqError(f"--d-e-max must be >= 1, got {args.d_e_max}")
+    # built before any search so a bad budget fails on every state
+    budget = EsqBudget(args.d_e_max, args.restarts, args.iterations,
+                       args.seed)
     sweeps = {}
     for s in rc.subsets[rc.m:]:  # the singletons come first
         try:
-            sweeps[s] = esq.d_e_sweep(state.dim_of(s), args.d_e_max)
+            sweeps[s] = esq.d_e_sweep(state.dim_of(s), budget.d_e_max)
         except esq.EsqError as err:
             raise esq.EsqError(f"{subset_name(s)}: {err}") from None
     entries = sum(map(len, sweeps.values()))
-    passes = entries * base.restarts * base.iterations
+    passes = entries * budget.restarts * budget.iterations
     if passes > esq.MAX_SEARCH_PASSES:
         raise esq.EsqError(
             f"search work of {passes} descent passes ({entries} d_E values "
-            f"over {len(sweeps)} subsets x --restarts {base.restarts} x "
-            f"--iterations {base.iterations}) exceeds the cap "
+            f"over {len(sweeps)} subsets x --restarts {budget.restarts} x "
+            f"--iterations {budget.iterations}) exceeds the cap "
             f"{esq.MAX_SEARCH_PASSES}; lower --d-e-max, --restarts or "
             f"--iterations")
-    for subset, d_e_values in sweeps.items():
-        marginal = qstate.reduced_state(state, subset)
-        budget = dataclasses.replace(base, d_e_values=d_e_values)
-        est = esq.esq_upper_bound(marginal, [{lab} for lab in sorted(subset)],
-                                  budget)
+    for subset, sweep in sweeps.items():
+        # reduced here: with every other label of dimension 1 the search
+        # would keep the state's own purifier, which differs in the last bits
+        est = esq.esq_upper_bound(qstate.reduced_state(state, subset),
+                                  [{lab} for lab in sorted(subset)], budget)
         raw[subset] = est
         estimates[subset_name(subset)] = {
             "value": est.value,
@@ -199,7 +198,7 @@ def _esq_fields(state, rc, args) -> tuple[dict, RegionConstants]:
             "exact": est.value - est.lower <= region.FEAS_TOL,
             "baseline": est.baseline,
             "best_kind": est.best_channel.kind,
-            "d_e_values": list(budget.d_e_values),
+            "d_e_values": list(sweep),
             "restarts": budget.restarts,
             "iterations": budget.iterations,
         }
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget = EsqBudget()
     for p in (subs["esq"], subs["classify"]):
         p.add_argument("--d-e-max", dest="d_e_max", type=int,
-                       default=max(budget.d_e_values))
+                       default=budget.d_e_max)
         p.add_argument("--restarts", type=int, default=budget.restarts)
         p.add_argument("--iterations", type=int, default=budget.iterations)
     subs["classify"].add_argument("--point", type=number_list, required=True,

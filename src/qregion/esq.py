@@ -87,32 +87,27 @@ class ExtensionChannel:
 
 @dataclass(frozen=True)
 class EsqBudget:
-    """Search budget: the E-dimension sweep (stored sorted, each value
-    once), random restarts per sweep entry, descent passes per restart
-    (``STEPS_PER_PASS`` gradient steps each), and the master seed
-    (restart i draws from (seed, i))."""
+    """Search budget: the d_E sweep's top (``d_e_sweep``), restarts per
+    sweep entry, descent passes of ``STEPS_PER_PASS`` steps per restart,
+    and the master seed (restart i draws from (seed, i))."""
 
-    d_e_values: tuple[int, ...] = (1, 2, 3, 4)
+    d_e_max: int = 4
     restarts: int = 8
     iterations: int = 4
     seed: int = 0
 
     def __post_init__(self):
         # numpy integers are stored as int, whose products cannot wrap
-        for name in ("restarts", "iterations", "seed"):
+        for name, least in (("d_e_max", 1), ("restarts", 0),
+                            ("iterations", 0), ("seed", 0)):
             value = getattr(self, name)
             if not _is_int(value):
                 raise EsqError(f"budget {name} must be an integer, "
                                f"got {value!r}")
-            if value < 0:
-                raise EsqError(f"budget {name} must be >= 0, got {value}")
+            if value < least:
+                raise EsqError(f"budget {name} must be >= {least}, "
+                               f"got {value}")
             object.__setattr__(self, name, int(value))
-        for d_e in self.d_e_values:
-            if not _is_int(d_e) or d_e < 1:
-                raise EsqError(f"budget d_e_values entries must be integers "
-                               f">= 1, got {d_e!r}")
-        object.__setattr__(self, "d_e_values", tuple(sorted(
-            {int(d_e) for d_e in self.d_e_values})))
         if self.restarts > MAX_RESTARTS:
             raise EsqError(f"budget restarts {self.restarts} exceeds the "
                            f"cap {MAX_RESTARTS}")
@@ -125,7 +120,8 @@ def _has_room(dim: int, d: int) -> bool:
 
 def d_e_sweep(dim: int, d_e_max: int) -> tuple[int, ...]:
     """The d_E sweep 1..d_e_max for a marginal of dimension ``dim``, cut
-    at the largest d that ``_has_room``."""
+    at the largest d that ``_has_room``, for the search and the CLI
+    alike; refused where even d = 1 has no room (dim > ESQ_DIM_CAP)."""
     if d_e_max < 1:
         raise EsqError(f"d_e_max must be >= 1, got {d_e_max}")
     values = tuple(itertools.takewhile(lambda d: _has_room(dim, d),
@@ -445,7 +441,9 @@ def esq_upper_bound(state: MultipartyState,
 
     Candidates: the trivial extension (baseline), the classical flag
     when the state carries mixture provenance, and random-restart
-    optimized isometries over the d_E sweep (``_sweep_starts``).
+    optimized isometries over the covered state's ``d_e_sweep`` up to
+    ``budget.d_e_max`` (``_sweep_starts``), its length times the
+    restarts times the iterations at most ``MAX_SEARCH_PASSES``.
     Restart 0 of a sweep entry starts from the purifier-eigenbasis
     dephasing, except at d_E above the purifier rank r once an earlier
     entry's descent leads: then it continues that isometry, so only a
@@ -474,11 +472,8 @@ def esq_upper_bound(state: MultipartyState,
     and a descent returns as soon as one of its restarts meets it.
     """
     state, groups = _covered(state, parts)
-    for d_e in budget.d_e_values:
-        if not _has_room(state.dim, d_e):
-            raise EsqError(f"d_E = {d_e} exceeds the dimension cap for a "
-                           f"state of dimension {state.dim}")
-    passes = len(budget.d_e_values) * budget.restarts * budget.iterations
+    sweep = d_e_sweep(state.dim, budget.d_e_max)
+    passes = len(sweep) * budget.restarts * budget.iterations
     if passes > MAX_SEARCH_PASSES:
         raise EsqError(f"search work of {passes} descent passes exceeds the "
                        f"cap {MAX_SEARCH_PASSES}")
@@ -494,7 +489,7 @@ def esq_upper_bound(state: MultipartyState,
                 best_ch, best_raw = flag, raw
 
     winner = None  # (d_e, d_g, isometry) of the best descent, if any leads
-    for d_e in budget.d_e_values:  # d_G = d_E
+    for d_e in sweep:  # d_G = d_E
         if best_raw <= target:
             break  # no extension can lower the value by more than FEAS_TOL
         if d_e * d_e < r or budget.restarts < 1:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qstate
 from .qstate import MAX_TOTAL_DIM, MultipartyState
-from .statespec import INPUT_TOL
+from .statespec import INPUT_TOL, _is_int
 
 MAX_HAAR_DIM = 256
 
@@ -66,6 +66,8 @@ def _copy_dims(dims: Sequence[int], n: int,
     """Dimensions of n grouped copies of each block, once n >= 1 and the
     n-copy product, at least 2**n, fits the dimension cap (compared in
     logs: the integer power itself is slow for huge n)."""
+    if not _is_int(n):
+        raise SimError(f"copies n must be an integer, got {n!r}")
     if n < 1:
         raise SimError("need n >= 1 copies")
     if n * math.log2(max(math.prod(dims), 2)) > math.log2(MAX_TOTAL_DIM):
@@ -251,10 +253,14 @@ def decoupling_curve(state: MultipartyState, sender: str, reference: str,
     r_idx = state.index_of(reference)
     if s_idx == r_idx:
         raise SimError("sender and reference must differ")
+    if not _is_int(trials):
+        raise SimError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise SimError("need at least one trial")
     if trials > MAX_TRIALS:
         raise SimError(f"trials {trials} exceeds the cap {MAX_TRIALS}")
+    if not _is_int(seed) or seed < 0:
+        raise SimError(f"seed must be a nonnegative integer, got {seed!r}")
     dims_grouped = _copy_dims(state.dims, n)
     block = dims_grouped[s_idx]
     q_max = math.log2(state.dims[s_idx])

@@ -55,6 +55,13 @@ class StateSpec:
     branches: tuple[MixtureBranch, ...] | None = None
 
     def __post_init__(self):
+        # the entries' types first, whichever family reads them
+        for b in self.basis or ():
+            if not _is_int(b):
+                raise SpecError("basis", f"entries must be integers, "
+                                f"got {b!r}")
+        if not (self.seed is None or _is_int(self.seed) and self.seed >= 0):
+            raise SpecError("seed", "must be a nonnegative integer")
         if self.family not in FAMILIES:
             raise SpecError("family", f"unknown family {self.family!r}; "
                             f"expected one of {', '.join(FAMILIES)}")
@@ -272,10 +279,6 @@ def parse_state_spec(text: str) -> StateSpec:
                                 "quote the digits, e.g. basis: '010'")
             basis = tuple(int(ch) for ch in str(basis))
         elif isinstance(basis, list):
-            for b in basis:
-                if not _is_int(b):
-                    raise SpecError("basis", f"entries must be integers, "
-                                    f"got {b!r}")
             basis = tuple(basis)
         else:
             raise SpecError("basis", "must be a digit string or int list")
@@ -285,10 +288,6 @@ def parse_state_spec(text: str) -> StateSpec:
         if not isinstance(pair, list) or len(pair) != 2:
             raise SpecError("pair", "must be a list of two labels")
         pair = (_as_label(pair[0], "pair"), _as_label(pair[1], "pair"))
-
-    seed = raw.get("seed")
-    if seed is not None and (not _is_int(seed) or seed < 0):
-        raise SpecError("seed", "must be a nonnegative integer")
 
     branches = raw.get("branches")
     if branches is not None:
@@ -315,6 +314,6 @@ def parse_state_spec(text: str) -> StateSpec:
         reference=_as_label(need("reference"), "reference"),
         basis=basis,
         pair=pair,
-        seed=seed,
+        seed=raw.get("seed"),
         branches=branches,
     )

@@ -425,8 +425,9 @@ def steepest_descent_reference(objective, starts, steps,
 def esq_search_reference(state, parts, budget=esq.EsqBudget(),
                          continue_best=True):
     """(value, winning channel kind, its d_E) of the extension search
-    with no stop: the baseline, the flag and every sweep entry, each
-    descent a no-target ``_riemannian_descent`` call.  With
+    with no stop: the baseline, the flag and every d_E of 1..d_e_max
+    with dim * d_E^2 within ``ESQ_DIM_CAP``, each descent a no-target
+    ``_riemannian_descent`` call.  With
     ``continue_best``, restart 0 at a d_E above the purifier rank, once
     a descent leads, starts from the leading isometry copied level by
     level into the larger E and G, nudged by ``CONTINUE_NUDGE`` times a
@@ -445,7 +446,9 @@ def esq_search_reference(state, parts, budget=esq.EsqBudget(),
             if raw < best_raw:
                 best, best_raw = flag, raw
     winner = None
-    for d_e in sorted(set(budget.d_e_values)):
+    for d_e in range(1, budget.d_e_max + 1):
+        if state.dim * d_e * d_e > esq.ESQ_DIM_CAP:
+            break
         if d_e * d_e < r or budget.restarts < 1:
             continue
         starts = [esq._embedding_isometry(r, d_e, d_e)] + [

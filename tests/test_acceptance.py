@@ -206,7 +206,7 @@ def test_criterion_06_entropic_identities():
 def test_criterion_07_squashed_entanglement():
     with criterion(7, "squashed-entanglement estimates", 120.0):
         rng = np.random.default_rng(4000)
-        small = EsqBudget(d_e_values=(1, 2), restarts=2, iterations=2, seed=1)
+        small = EsqBudget(d_e_max=2, restarts=2, iterations=2, seed=1)
         for _ in range(10):
             st = random_mixture_state(rng,
                                       branches=int(rng.integers(2, 5)))
@@ -215,8 +215,8 @@ def test_criterion_07_squashed_entanglement():
             assert est.value >= 0.0
 
         bell = bell_state(("A", "B"), reference="B")
-        budget = EsqBudget(d_e_values=(1, 2, 3, 4), restarts=20,
-                           iterations=3, seed=9)
+        budget = EsqBudget(d_e_max=4, restarts=20, iterations=3,
+                           seed=9)
         est = qr.esq_upper_bound(bell, [{"A"}, {"B"}], budget)
         assert abs(est.value - 1.0) <= 1e-6  # nothing beat the trivial one
         assert abs(est.baseline - 1.0) <= 1e-9
@@ -228,7 +228,7 @@ def test_criterion_07_squashed_entanglement():
 
 def test_criterion_08_outer_bound_and_classification():
     with criterion(8, "outer bound and classification", 30.0):
-        small = EsqBudget(d_e_values=(1, 2), restarts=2, iterations=2, seed=2)
+        small = EsqBudget(d_e_max=2, restarts=2, iterations=2, seed=2)
         g = ghz_state()
         rc = qr.region_constants(g, "R")
         est = qr.esq_upper_bound(qr.reduced_state(g, {"A1", "A2"}),

@@ -374,10 +374,8 @@ def test_esq_values_equal_the_search_without_a_stop(tmp_path, name):
     for subset, est in report["esq_estimates"].items():
         labels = subset.split("+")
         marginal = qr.reduced_state(state, labels)
-        budget = qr.EsqBudget(qr.esq.d_e_sweep(
-            marginal.dim, max(qr.EsqBudget().d_e_values)), seed=3)
         value, _, _ = esq_search_reference(
-            marginal, [{lab} for lab in labels], budget)
+            marginal, [{lab} for lab in labels], qr.EsqBudget(seed=3))
         assert json.loads(_emit(value)) == est["value"], subset
 
 
@@ -607,6 +605,25 @@ def test_esq_sweep_stops_at_the_dimension_cap(tmp_path, ghz_spec_file):
     # the A1A2 marginal has dimension 4: 4 * 16**2 = ESQ_DIM_CAP
     est = json.loads(out.read_text())["esq_estimates"]["A1+A2"]
     assert est["d_e_values"] == list(range(1, 17))
+
+
+def test_esq_cuts_its_sweep_as_the_library_does(tmp_path):
+    # the A1A2 marginal has dimension 64: --d-e-max 9 cuts to 1..4 in the
+    # CLI and in esq_upper_bound alike
+    text = ("{family: random_pure, labels: [A1, A2, R], dims: [8, 8, 2], "
+            "seed: 2, reference: R}\n")
+    spec = tmp_path / "r882.spec"
+    spec.write_text(text)
+    out = tmp_path / "esq.json"
+    assert run_command(["esq", "--state", str(spec), "--out", str(out),
+                        "--d-e-max", "9", "--seed", "7"]) == 0
+    est = json.loads(out.read_text())["esq_estimates"]["A1+A2"]
+    assert est["d_e_values"] == [1, 2, 3, 4]
+    state = qr.build_state(qr.parse_state_spec(text))
+    lib = qr.esq_upper_bound(state, [{"A1"}, {"A2"}],
+                             qr.EsqBudget(d_e_max=9, seed=7))
+    assert json.loads(_emit(lib.value)) == est["value"]
+    assert lib.value == 2.2213772992049794
 
 
 def test_esq_squashes_near_separable_pairs_within_ten_seconds(tmp_path):

@@ -23,7 +23,7 @@ from helpers import (bell_between_senders, bell_state,
                      random_mixture_state, random_sender_state,
                      steepest_descent_reference)
 
-SMALL = EsqBudget(d_e_values=(1, 2), restarts=2, iterations=2, seed=0)
+SMALL = EsqBudget(d_e_max=2, restarts=2, iterations=2, seed=0)
 
 
 def test_trivial_channel_reproduces_unconditional_info():
@@ -79,8 +79,7 @@ def test_bell_random_channels_never_below_two():
 
 def test_esq_upper_bound_bell():
     bell = bell_state(("A", "B"), reference="B")
-    budget = EsqBudget(d_e_values=(1, 2, 3, 4), restarts=20,
-                       iterations=3, seed=7)
+    budget = EsqBudget(d_e_max=4, restarts=20, iterations=3, seed=7)
     est = qr.esq_upper_bound(bell, [{"A"}, {"B"}], budget)
     assert est.value == pytest.approx(1.0, abs=1e-6)
     assert est.baseline == pytest.approx(1.0, abs=1e-9)
@@ -127,11 +126,11 @@ def test_estimator_monotone_in_budget():
         qr.random_pure_state(("A", "B", "C"), (2, 2, 4), 5), {"A", "B"})
     parts = [{"A"}, {"B"}]
     small = qr.esq_upper_bound(st, parts,
-                               EsqBudget((1, 2), 2, 2, seed=3)).value
+                               EsqBudget(2, 2, 2, seed=3)).value
     more_restarts = qr.esq_upper_bound(st, parts,
-                                       EsqBudget((1, 2), 5, 2, seed=3)).value
+                                       EsqBudget(2, 5, 2, seed=3)).value
     wider_sweep = qr.esq_upper_bound(st, parts,
-                                     EsqBudget((1, 2, 3), 2, 2, seed=3)).value
+                                     EsqBudget(3, 2, 2, seed=3)).value
     assert more_restarts <= small + 1e-12
     assert wider_sweep <= small + 1e-12
 
@@ -148,12 +147,26 @@ def test_channel_validation_and_caps():
     with pytest.raises(EsqError):
         E.ExtensionChannel(2, 2, np.ones((4, 2)), "parameterized")
     big = qr.random_pure_state(("A", "B"), (8, 8), 0)
-    with pytest.raises(EsqError):
-        qr.esq_upper_bound(big, [{"A"}, {"B"}],
-                           EsqBudget(d_e_values=(8,), restarts=1,
-                                     iterations=1, seed=0))
     with pytest.raises(Q.StateError, match="at least one part"):
         qr.esq_upper_bound(big, [], SMALL)
+    # past dimension 1024 not even d_E = 1 fits under the cap
+    wide = qr.random_pure_state(("A", "B"), (32, 64), 0)
+    with pytest.raises(EsqError, match="marginal dimension 2048 leaves no "
+                                       "room for any extension"):
+        qr.esq_upper_bound(wide, [{"A"}, {"B"}], EsqBudget(d_e_max=1))
+
+
+def test_sweep_is_cut_at_the_dimension_cap():
+    # dimension 64: 64 * 4**2 = ESQ_DIM_CAP, so d_E = 8 cuts to 1..4
+    big = qr.reduced_state(qr.random_pure_state(("A", "B", "R"), (8, 8, 2),
+                                                2), {"A", "B"})
+    parts = [{"A"}, {"B"}]
+    cut = EsqBudget(d_e_max=8, restarts=2, iterations=1)
+    # d_E = 1 has no isometry from the rank-2 purifier; 5..8 are cut
+    assert sorted(_restart_starts(big, parts, cut)) == [2, 3, 4]
+    assert qr.esq_upper_bound(big, parts, cut).value.hex() \
+        == qr.esq_upper_bound(big, parts, EsqBudget(
+            d_e_max=4, restarts=2, iterations=1)).value.hex()
 
 
 def test_search_work_cap_refuses_before_any_search(monkeypatch):
@@ -185,7 +198,7 @@ def test_baseline_of_a_purifier_wider_than_the_cap():
         qr.random_pure_state(("A", "B", "C"), (8, 8, 32), 1), {"A", "B"})
     assert marg.dim * Q.purification_vector(marg)[1] > E.ESQ_DIM_CAP
     est = qr.esq_upper_bound(marg, [{"A"}, {"B"}],
-                             EsqBudget(d_e_values=(1,), restarts=1,
+                             EsqBudget(d_e_max=1, restarts=1,
                                        iterations=1))
     assert est.best_channel.kind == "trivial"
     assert abs(est.baseline
@@ -287,7 +300,7 @@ def _two_sender_bounds(seed):
     rc = qr.region_constants(state, "R")
     est = qr.esq_upper_bound(qr.reduced_state(state, {"A1", "A2"}),
                              [{"A1"}, {"A2"}],
-                             EsqBudget(d_e_values=(1, 2), restarts=1,
+                             EsqBudget(d_e_max=2, restarts=1,
                                        iterations=1, seed=seed))
     return rc, qr.outer_bound_constants(rc, {frozenset({"A1", "A2"}): est})
 
@@ -633,8 +646,8 @@ def test_restart_zero_continues_the_best_isometry_above_the_rank():
             assert np.array_equal(starts[d_e][i],
                                   E._polar_isometry(g[0] + 1j * g[1]))
     # no descent leads yet at the first entry above the rank
-    alone = _restart_starts(marg, parts, EsqBudget(d_e_values=(3,), seed=7))
-    assert np.array_equal(alone[3][0], E._embedding_isometry(r, 3, 3))
+    assert np.array_equal(E._sweep_starts(r, 3, budget, None)[0],
+                          E._embedding_isometry(r, 3, 3))
     # a rank-4 purifier: every d_E <= r keeps the dephasing start
     rank4 = qr.reduced_state(
         qr.random_pure_state(("A1", "A2", "R"), (2, 2, 4), 2), {"A1", "A2"})
@@ -681,14 +694,15 @@ def test_edge_budgets():
     assert flag.best_channel.kind == "classical_flag"
 
     # iterations=0 scores only the starting points
-    budget = EsqBudget(d_e_values=(2, 3), restarts=3, iterations=0, seed=4)
+    budget = EsqBudget(d_e_max=3, restarts=3, iterations=0, seed=4)
     est = qr.esq_upper_bound(marg, parts, budget)
     groups = Q.part_groups(marg, parts)
     psi, r = Q.purification_vector(marg)
+    assert r == 2  # d_E = 1 has no isometry from the purifier
     raws = E._cond_info_extended(psi, marg.dims, groups,
                                  E.trivial_channel(r).isometry[None],
                                  1, r).tolist()
-    for d_e in budget.d_e_values:
+    for d_e in (2, 3):
         starts = [E._embedding_isometry(r, d_e, d_e)]
         for restart in range(1, budget.restarts):
             g = np.random.default_rng([budget.seed, restart])
@@ -704,50 +718,37 @@ def test_edge_budgets():
         qr.random_pure_state(("A", "B", "C"), (2, 2, 4), 2), {"A", "B"})
     assert Q.purification_vector(rank4)[1] == 4
     est = qr.esq_upper_bound(rank4, [{"A"}, {"B"}],
-                             EsqBudget(d_e_values=(1,), restarts=2))
+                             EsqBudget(d_e_max=1, restarts=2))
     assert est.best_channel.kind == "trivial"
     assert est.value == est.baseline
 
 
-@pytest.mark.parametrize("field, value", [("restarts", -1),
+@pytest.mark.parametrize("field, value", [("d_e_max", 0),
+                                          ("restarts", -1),
                                           ("iterations", -3),
                                           ("seed", -1)])
 def test_budget_rejects_negative_counts(field, value):
-    with pytest.raises(EsqError, match=f"budget {field} must be >= 0"):
+    least = 1 if field == "d_e_max" else 0
+    with pytest.raises(EsqError, match=f"budget {field} must be >= {least}, "
+                                       f"got {value}$"):
         EsqBudget(**{field: value})
 
 
-@pytest.mark.parametrize("field, value", [("d_e_values", (2.5,)),
-                                          ("d_e_values", (True,)),
-                                          ("d_e_values", (0,)),
+@pytest.mark.parametrize("field, value", [("d_e_max", 2.5),
+                                          ("d_e_max", True),
                                           ("restarts", 2.5),
                                           ("iterations", 1.5),
                                           ("seed", True)])
 def test_budget_refuses_what_is_not_a_count(field, value):
-    with pytest.raises(EsqError, match=f"budget {field} (must be an integer"
-                                       f"|entries must be integers >= 1)"):
+    with pytest.raises(EsqError, match=f"budget {field} must be an integer"):
         EsqBudget(**{field: value})
 
 
 def test_budget_stores_numpy_integers_as_int():
-    budget = EsqBudget((np.int64(1), np.int32(2)), np.int64(2), np.uint8(1),
-                       np.int64(3))
-    assert budget == EsqBudget((1, 2), 2, 1, 3)
-    assert all(type(v) is int for v in (*budget.d_e_values, budget.restarts,
+    budget = EsqBudget(np.int32(2), np.int64(2), np.uint8(1), np.int64(3))
+    assert budget == EsqBudget(2, 2, 1, 3)
+    assert all(type(v) is int for v in (budget.d_e_max, budget.restarts,
                                         budget.iterations, budget.seed))
-
-
-def test_budget_sweep_is_stored_sorted_and_counted_once():
-    assert EsqBudget((3, 1, 3)).d_e_values == (1, 3)
-    # five copies of d_E = 2 are one sweep entry: 512 x 8 passes, not
-    # five times that past the cap
-    repeated = EsqBudget((2, 2, 2, 2, 2), restarts=512, iterations=8)
-    assert repeated.d_e_values == (2,)
-    marg, parts = _panel_marginal(5), [{"A1"}, {"A2"}]
-    est = qr.esq_upper_bound(marg, parts, repeated)
-    once = qr.esq_upper_bound(marg, parts,
-                              EsqBudget((2,), restarts=512, iterations=8))
-    assert est.value.hex() == once.value.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -876,14 +877,13 @@ def _bracket_case(family, seed):
 @given(family=st.sampled_from(["random", "mixture", "ghz", "product",
                                "bell"]),
        seed=st.integers(0, 2 ** 32 - 1),
-       d_e_values=st.sets(st.integers(1, 3), min_size=1),
+       d_e_max=st.integers(1, 3),
        restarts=st.integers(0, 3), iterations=st.integers(0, 1),
        budget_seed=st.integers(0, 2 ** 16))
 def test_estimate_brackets_the_squashed_entanglement(
-        family, seed, d_e_values, restarts, iterations, budget_seed):
+        family, seed, d_e_max, restarts, iterations, budget_seed):
     state, parts = _bracket_case(family, seed)
-    budget = EsqBudget(tuple(sorted(d_e_values)), restarts, iterations,
-                       budget_seed)
+    budget = EsqBudget(d_e_max, restarts, iterations, budget_seed)
     est = qr.esq_upper_bound(state, parts, budget)
     assert est.lower - FEAS_TOL <= est.value <= est.baseline
     raw = qr.conditional_info_with_extension(state, parts, est.best_channel)

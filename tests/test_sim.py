@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -268,6 +269,37 @@ def test_decoupling_rejects_fewer_than_one_copy():
     for n in (0, -1):
         with pytest.raises(SimError, match=r"need n >= 1 copies"):
             qr.decoupling_curve(bell, "A", "R", n, [0.0], trials=2, seed=1)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": 2.5, "grid": [0.5]}, "trials must be an integer, got 2.5"),
+    ({"n": 2.0}, "copies n must be an integer, got 2.0"),
+    ({"n": 1.5}, "copies n must be an integer, got 1.5"),
+    ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
+    ({"seed": -1, "grid": [0.5]},
+     "seed must be a nonnegative integer, got -1"),
+    ({"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
+    ({"seed": True}, "seed must be a nonnegative integer, got True"),
+], ids=["trials-ends", "trials-drawn", "n-float", "n-fraction",
+        "seed-negative-ends", "seed-negative-drawn", "seed-fraction",
+        "seed-bool"])
+def test_decoupling_refuses_counts_and_seeds_before_any_draw(
+        monkeypatch, kw, message):
+    def unreachable(*args):
+        raise AssertionError("drawn or built before the checks")
+
+    monkeypatch.setattr(sim, "_grouped_vector", unreachable)
+    monkeypatch.setattr(sim, "haar_unitaries", unreachable)
+    args = {"n": 2, "grid": [0.0, 1.0], "trials": 2, "seed": 1, **kw}
+    with pytest.raises(SimError, match=f"^{re.escape(message)}$"):
+        qr.decoupling_curve(bell_state(), "A", "R", **args)
+
+
+def test_typical_projection_refuses_a_fractional_copy_count():
+    with pytest.raises(SimError, match=r"^copies n must be an integer, "
+                                       r"got 1\.5$"):
+        qr.typical_projection(bell_state(), "A", 1.5, 0.1)
 
 
 def test_decoupling_checks_splits_before_building(monkeypatch):

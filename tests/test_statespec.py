@@ -188,6 +188,24 @@ def test_parse_rejects_negative_seed(tmp_path, capsys, family):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, text, message", [
+    ("basis", (0.5, 1), "[0.5, 1]", "entries must be integers, got 0.5"),
+    ("basis", (True, 1), "[true, 1]", "entries must be integers, got True"),
+    ("seed", -1, "-1", "must be a nonnegative integer"),
+    ("seed", 1.5, "1.5", "must be a nonnegative integer"),
+], ids=["basis-fraction", "basis-bool", "seed-negative", "seed-fraction"])
+def test_spec_checks_its_basis_and_seed(field, value, text, message):
+    # the constructor refuses what the parser refuses, with its message
+    family = {"basis": "product", "seed": "random_pure"}[field]
+    with pytest.raises(SpecError) as built:
+        qr.StateSpec(family, ("A", "R"), (2, 2), "R", **{field: value})
+    assert str(built.value) == f"{field}: {message}"
+    with pytest.raises(SpecError) as parsed:
+        parse_state_spec(f"{{family: {family}, labels: [A, R], "
+                         f"dims: [2, 2], reference: R, {field}: {text}}}")
+    assert str(parsed.value) == str(built.value)
+
+
 _FAMILY_TEXTS = {
     "ghz": "family: ghz, labels: [A1, A2, R], dims: [2, 2, 2]",
     "w": "family: w, labels: [A1, A2, R], dims: [2, 2, 2]",
