@@ -187,10 +187,8 @@ def _esq_fields(state, rc, args) -> tuple[dict, RegionConstants]:
             f"{esq.MAX_SEARCH_PASSES}; lower --d-e-max, --restarts or "
             f"--iterations")
     for subset, sweep in sweeps.items():
-        # reduced here: with every other label of dimension 1 the search
-        # would keep the state's own purifier, which differs in the last bits
-        est = esq.esq_upper_bound(qstate.reduced_state(state, subset),
-                                  [{lab} for lab in sorted(subset)], budget)
+        est = esq.esq_upper_bound(state, [{lab} for lab in sorted(subset)],
+                                  budget)
         raw[subset] = est
         estimates[subset_name(subset)] = {
             "value": est.value,

@@ -281,11 +281,12 @@ def _cond_info_extended(psi: np.ndarray, x_dims: Sequence[int],
 
 
 def _covered(state: MultipartyState, parts: Sequence[Iterable[str]]):
-    """``state`` on the union of the checked ``parts`` (H(X E) = H(G) needs
-    every label of dimension above 1 in a part), and the parts' groups."""
+    """``state`` reduced to the union of the checked ``parts`` if it leaves
+    out any label (H(X E) = H(G) needs a cover), and the parts' groups."""
+    parts = [frozenset(p) for p in parts]
     union = [state.labels[i] for group in qstate.part_groups(state, parts)
              for i in group]
-    if state.dim_of(union) < state.dim:
+    if len(union) < len(state.labels):
         state = qstate.reduced_state(state, union)
     return state, qstate.part_groups(state, parts)
 
@@ -294,7 +295,7 @@ def conditional_info_with_extension(state: MultipartyState,
                                     parts: Sequence[Iterable[str]],
                                     ch: ExtensionChannel) -> float:
     """Raw (not halved) conditional multiparty information I(parts|E)
-    after applying ``ch`` to the canonical purifier of ``_covered``."""
+    after ``ch`` acts on the purifier of the parts' ``_covered`` marginal."""
     return _covered_info(*_covered(state, parts), ch)
 
 
@@ -443,7 +444,8 @@ def esq_upper_bound(state: MultipartyState,
     when the state carries mixture provenance, and random-restart
     optimized isometries over the covered state's ``d_e_sweep`` up to
     ``budget.d_e_max`` (``_sweep_starts``), its length times the
-    restarts times the iterations at most ``MAX_SEARCH_PASSES``.
+    restarts times the iterations at most ``MAX_SEARCH_PASSES``, both
+    checked on the parts' union before ``_covered`` reduces to it.
     Restart 0 of a sweep entry starts from the purifier-eigenbasis
     dephasing, except at d_E above the purifier rank r once an earlier
     entry's descent leads: then it continues that isometry, so only a
@@ -471,12 +473,13 @@ def esq_upper_bound(state: MultipartyState,
     that target, no sweep entry starts once the best value meets it,
     and a descent returns as soon as one of its restarts meets it.
     """
-    state, groups = _covered(state, parts)
-    sweep = d_e_sweep(state.dim, budget.d_e_max)
+    parts = [frozenset(p) for p in parts]
+    sweep = d_e_sweep(state.dim_of(set().union(*parts)), budget.d_e_max)
     passes = len(sweep) * budget.restarts * budget.iterations
     if passes > MAX_SEARCH_PASSES:
         raise EsqError(f"search work of {passes} descent passes exceeds the "
                        f"cap {MAX_SEARCH_PASSES}")
+    state, groups = _covered(state, parts)
     psi, r = qstate.purification_vector(state)
     lower = _coherent_info_floor(state, groups)
     target = 2.0 * (lower + region.FEAS_TOL)  # on the raw, unhalved value

@@ -379,6 +379,26 @@ def test_esq_values_equal_the_search_without_a_stop(tmp_path, name):
         assert json.loads(_emit(value)) == est["value"], subset
 
 
+@pytest.mark.filterwarnings("ignore:input state is not pure")
+def test_esq_report_equals_the_library_on_the_full_state(tmp_path):
+    # every left-out label of A1+A2+A3 has dimension 1: the library still
+    # searches the subset's marginal, the one the report reads
+    path = tmp_path / "s.spec"
+    path.write_text(STOP_SPECS["mixture"])
+    out = tmp_path / "esq.json"
+    assert run_command(["esq", "--state", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    state = qr.build_state(qr.parse_state_spec(STOP_SPECS["mixture"]))
+    assert len(report["esq_estimates"]) == 4
+    for subset, entry in report["esq_estimates"].items():
+        est = qr.esq_upper_bound(state, [{lab} for lab in subset.split("+")])
+        fields = {"value": est.value, "lower": est.lower,
+                  "baseline": est.baseline,
+                  "best_kind": est.best_channel.kind}
+        assert json.loads(_emit(fields)) \
+            == {key: entry[key] for key in fields}, subset
+
+
 def test_linalg_failure_is_internal_error(tmp_path, ghz_spec_file,
                                           monkeypatch, capsys):
     def fail(*args, **kwargs):

@@ -96,19 +96,81 @@ def test_esq_upper_bound_separable_and_product():
     assert est.value == 0.0 and est.baseline <= 1e-9
 
 
+#: (state, parts) whose parts leave out a label: of dimension above 1 in
+#: the first case, and only of dimension 1 in the others
+LEFT_OUT_CASES = {
+    "spectator-and-reference": lambda: (
+        qr.random_pure_state(("A1", "A2", "A3", "R"), (2,) * 4, 3),
+        ["A1", "A2"]),
+    "stop-specs-mixture": lambda: (
+        random_mixture_state(np.random.default_rng(9),
+                             ("A1", "A2", "A3", "R"), (2, 2, 2, 1)),
+        ["A1", "A2", "A3"]),
+    "ghz-trivial-reference": lambda: (
+        qr.build_state(StateSpec(family="ghz",
+                                 labels=("A1", "A2", "A3", "R"),
+                                 dims=(2, 2, 2, 1), reference="R")),
+        ["A1", "A2", "A3"]),
+    "two-sender-mixture": lambda: (
+        random_mixture_state(np.random.default_rng(4), ("A1", "A2", "R"),
+                             (2, 2, 1), branches=2),
+        ["A1", "A2"]),
+    "trivial-spectator": lambda: (
+        qr.random_pure_state(("A1", "S", "A2", "R"), (2, 1, 2, 1), 6),
+        ["A1", "S", "A2"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:input state is not pure")
 def test_parts_leaving_out_labels_use_their_marginal():
     # I(X E) = H(G) holds only when the parts cover the state: parts that
-    # leave out A3 and R are scored on their marginal, bit for bit
-    st = qr.random_pure_state(("A1", "A2", "A3", "R"), (2,) * 4, 3)
-    parts = [{"A1"}, {"A2"}]
-    marg = qr.reduced_state(st, {"A1", "A2"})
-    got, want = (qr.esq_upper_bound(s, parts, SMALL) for s in (st, marg))
-    assert abs(got.baseline - 0.5 * qr.multiparty_info(st, parts)) <= 1e-12
-    assert (got.value, got.lower, got.baseline, got.best_channel.kind) \
-        == (want.value, want.lower, want.baseline, want.best_channel.kind)
-    ch = E.trivial_channel(Q.purification_vector(marg)[1])
-    assert qr.conditional_info_with_extension(st, parts, ch) \
-        == qr.conditional_info_with_extension(marg, parts, ch)
+    # leave out any label, whatever its dimension, are scored on their
+    # marginal, bit for bit
+    for case, make in LEFT_OUT_CASES.items():
+        st, labels = make()
+        parts = [{lab} for lab in labels]
+        marg = qr.reduced_state(st, labels)
+        got, want = (qr.esq_upper_bound(s, parts, SMALL) for s in (st, marg))
+        assert abs(got.baseline
+                   - 0.5 * qr.multiparty_info(st, parts)) <= 1e-12, case
+        assert (got.value, got.lower, got.baseline, got.best_channel.kind,
+                got.best_channel.d_e) \
+            == (want.value, want.lower, want.baseline,
+                want.best_channel.kind, want.best_channel.d_e), case
+        assert np.array_equal(got.best_channel.isometry,
+                              want.best_channel.isometry), case
+        ch = E.trivial_channel(Q.purification_vector(marg)[1])
+        assert qr.conditional_info_with_extension(st, parts, ch) \
+            == qr.conditional_info_with_extension(marg, parts, ch), case
+
+
+def test_parts_may_be_iterators():
+    st = random_sender_state(3, 2)
+    ch = E.trivial_channel(Q.purification_vector(
+        qr.reduced_state(st, {"A1", "A2"}))[1])
+    got = qr.esq_upper_bound(st, [iter(["A1"]), iter(["A2"])], SMALL)
+    want = qr.esq_upper_bound(st, [{"A1"}, {"A2"}], SMALL)
+    assert (got.value, got.lower, got.baseline) \
+        == (want.value, want.lower, want.baseline)
+    assert qr.conditional_info_with_extension(
+        st, iter([iter(["A1"]), iter(["A2"])]), ch) \
+        == qr.conditional_info_with_extension(st, [{"A1"}, {"A2"}], ch)
+
+
+def test_oversized_marginal_is_refused_before_it_is_built(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a marginal was built")
+
+    monkeypatch.setattr(Q, "reduced_state", unreachable)
+    st = qr.random_pure_state(("A1", "A2", "R"), (32, 64, 2), 1)
+    with pytest.raises(EsqError, match="marginal dimension 2048 leaves no "
+                                       "room for any extension"):
+        qr.esq_upper_bound(st, [{"A1"}, {"A2"}])
+    small = random_sender_state(3, 1)
+    with pytest.raises(EsqError, match="search work of 32000000 descent "
+                                       "passes exceeds the cap"):
+        qr.esq_upper_bound(small, [{"A1"}, {"A2"}],
+                           EsqBudget(iterations=10 ** 6))
 
 
 def test_estimate_between_zero_and_baseline():
